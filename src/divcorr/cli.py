@@ -13,21 +13,19 @@ import os
 import sys
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from . import __version__
-from .correlation import (CSV_HEADER, SpectralComparison, compare_spectral,
-                          correlate_grid, fit_exponent, result_csv_row,
-                          results_json)
-from .diophantine import (ContinuedFraction, Theta, construct_jarnik,
+from .correlation import (CSV_HEADER, compare_spectral, correlate_grid,
+                          fit_exponent, result_csv_row, results_json)
+from .diophantine import (ContinuedFraction, JarnikTheta, TauBetaTheta, Theta,
                           construct_tau_beta, convergent_invariants,
                           convergents, legendre_hits, nearest_distance,
                           theta_parse)
 from .divisor import delta, mean_square, sieve_tau, tong_ratio_oracle
 from .errors import (ConstructionInfeasible, PrecisionExhausted, PsiParseError,
                      ResourceLimit, ThetaParseError)
-from .realfield import psi_parse
+from .realfield import _fmt, psi_parse
 from .voronoi import SpectralParams, lambda_kernel, osc_integral, q_n, spectral_j
 
 EXIT_OK = 0
@@ -48,12 +46,6 @@ class RunConfig:
         return (f"# divcorr v{__version__} precision_bits={self.precision_bits} "
                 f"threads={self.threads} out_format={self.out_format} "
                 f"seed={self.seed} command={command}")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, mpmath.mpf):
-        return mpmath.nstr(x, 17)
-    return format(float(x), ".17g")
 
 
 def _emit(line=""):
@@ -105,13 +97,9 @@ def _print_cf_table(cfg: RunConfig, theta: Theta | None, cf: ContinuedFraction):
 def cmd_cf(cfg: RunConfig, args) -> int:
     _emit(cfg.header("cf"))
     if args.construct:
-        spec = args.construct
-        head = spec.partition(":")[0]
-        if head == "taubeta":
-            body = spec.partition(":")[2]
-            ab, _, depth = body.rpartition(":")
-            a, _, b = ab.partition("/")
-            num = construct_tau_beta(int(a), int(b) if b else 1, int(depth))
+        theta = theta_parse(args.construct)
+        if isinstance(theta, TauBetaTheta):
+            num = construct_tau_beta(theta.a, theta.b, theta.depth)
             _emit("beta,depth,value,tail_log2")
             _emit(f"{num.a}/{num.b},{num.depth},{_fmt(num.value(cfg.precision_bits))},"
                   f"{_fmt(num.tail_log2)}")
@@ -119,18 +107,10 @@ def cmd_cf(cfg: RunConfig, args) -> int:
             for i, e in enumerate(num.exponents, 1):
                 _emit(f"{i},{e}")
             return EXIT_OK
-        if head == "jarnik":
-            body = spec.partition(":")[2]
-            psi_text, _, K = body.rpartition(":")
-            psi = psi_parse(psi_text)
-            try:
-                cf = construct_jarnik(psi, int(K))
-            except PrecisionExhausted as e:
-                if e.partial is None:
-                    raise
-                _emit(f"# note: {e}")
-                cf = e.partial
-            theta = theta_parse(spec)
+        if isinstance(theta, JarnikTheta):
+            if theta.truncated is not None:
+                _emit(f"# note: {theta.truncated}")
+            psi, cf = theta.psi, theta.cf
             _print_cf_table(cfg, theta, cf)
             # a-posteriori approximability of the constructed convergents:
             # ||m_k theta|| < 1/m_{k+1} <= 1/psi(m_k) for k >= 2; for the
@@ -145,7 +125,7 @@ def cmd_cf(cfg: RunConfig, args) -> int:
                     l2n = max(l2p, math.log2(convs[k].m))
                 _emit(f"{k},{convs[k].m},{_fmt(l2n)},{_fmt(l2p)},{l2n >= l2p}")
             return EXIT_OK
-        raise ValueError(f"unknown constructor {head!r} (taubeta/jarnik)")
+        raise ValueError(f"unknown constructor {theta.spec!r} (taubeta/jarnik)")
 
     if not args.theta:
         raise ValueError("cf needs --theta or --construct")
@@ -158,7 +138,7 @@ def cmd_cf(cfg: RunConfig, args) -> int:
     if K < 0:
         raise ValueError("--terms must be >= 1")
     try:
-        cf = theta.continued_fraction(K) if isinstance(theta, Theta) else None
+        cf = theta.continued_fraction(K)
     except PrecisionExhausted as e:
         _emit(f"# note: {e}")
         if e.partial is None:

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diophantine import Theta, theta_parse
-from .divisor import TWO_GAMMA_MINUS_1, DivisorTable, sieve_tau
+from .divisor import DivisorTable, gauss8_pieces, sieve_tau
 from .errors import ResourceLimit
-from .realfield import PsiFunction
+from .realfield import PsiFunction, _fmt
 from .voronoi import SpectralParams, SpectralReport, spectral_j
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 #: pieces narrower than this merge with their neighbour (near-coincident
 #: breakpoints n ~ m*theta would otherwise create degenerate slivers)
@@ -62,16 +60,12 @@ def _as_theta(theta) -> Theta:
     return theta if isinstance(theta, Theta) else theta_parse(theta)
 
 
-def _theta_float(theta: Theta) -> float:
-    return float(theta.value(128))
-
-
 def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
            threads: int = 1) -> list[CorrelationResult]:
     """One incremental pass over [1, max(xs)] returning I at every requested
     X.  Breakpoints: integers (where Delta(x) jumps), n/theta (where
     Delta(theta x) jumps), and the requested prefix ends."""
-    th = _theta_float(theta)
+    th = float(theta)
     if th <= 0:
         raise ValueError("theta must be positive")
     xs_sorted = sorted(set(float(x) for x in xs))
@@ -126,13 +120,8 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
 
     def chunk_integrals(start):
         stop = min(start + _CHUNK, n_pieces)
-        xs_nodes = (mid[start:stop, None]
-                    + half[start:stop, None] * _GAUSS_NODES[None, :])
-        f1 = d1[start:stop, None] - xs_nodes * np.log(xs_nodes) \
-            - TWO_GAMMA_MINUS_1 * xs_nodes
-        tn = th * xs_nodes
-        f2 = d2[start:stop, None] - tn * np.log(tn) - TWO_GAMMA_MINUS_1 * tn
-        piece = half[start:stop] * ((f1 * f2) @ _GAUSS_WEIGHTS)
+        piece = gauss8_pieces(mid[start:stop], half[start:stop],
+                              d1[start:stop], d2[start:stop], th)
         piece[~live[start:stop]] = 0.0
         return piece
 
@@ -243,7 +232,7 @@ def compare_spectral(theta, X: float, psi: PsiFunction | None = None,
     if N is not None or T is not None:
         params = SpectralParams(X=X, N=N if N is not None else params.N,
                                 T=T if T is not None else params.T)
-    need = max(params.N, int(math.floor(_theta_float(theta) * X)) + 1,
+    need = max(params.N, int(math.floor(float(theta) * X)) + 1,
                int(math.floor(X)))
     if table is None or table.limit < need:
         table = sieve_tau(need)
@@ -258,10 +247,6 @@ def compare_spectral(theta, X: float, psi: PsiFunction | None = None,
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 CSV_HEADER = "theta_spec,X,I,I_over_X32,method,breakpoints_used"

@@ -54,11 +54,6 @@ def binet_fibonacci(k: int) -> float:
     return (phi**k - (-phi) ** (-k)) / math.sqrt(5)
 
 
-def _log2_int(n: int) -> float:
-    """log2 of a positive int, safe for huge values."""
-    return math.log2(n)
-
-
 # ---------------------------------------------------------------------------
 # Continued fractions and convergents
 # ---------------------------------------------------------------------------
@@ -93,9 +88,6 @@ class ContinuedFraction:
 
     def __len__(self):
         return len(self.quotients)
-
-    def convergents(self) -> list[Convergent]:
-        return convergents(self)
 
 
 def convergents(cf: ContinuedFraction) -> list[Convergent]:
@@ -158,6 +150,26 @@ class Enclosure:
     anchor: Fraction
     log2_err: float
     side: int = 0
+
+
+def _escalating_enclosures(theta: Theta, bits: int):
+    """Yield theta's best enclosure at bits, 4 bits, 16 bits, ...
+
+    Requests are capped at _MAX_EXPAND_BITS, and the last one is the first
+    that reaches min(max_enclosure_bits(), _MAX_EXPAND_BITS).  A request
+    that fails with a partial Enclosure yields the partial."""
+    cap = min(theta.max_enclosure_bits(), _MAX_EXPAND_BITS)
+    while True:
+        try:
+            enc = theta.best_enclosure(bits)
+        except PrecisionExhausted as e:
+            if not isinstance(e.partial, Enclosure):
+                raise
+            enc = e.partial
+        yield enc
+        if bits >= cap:
+            return
+        bits = min(bits * 4, _MAX_EXPAND_BITS)
 
 
 def _cf_from_enclosure(enc: Enclosure, K: int) -> ContinuedFraction:
@@ -235,18 +247,18 @@ class Theta:
         with mpmath.workprec(max(bits, 53)):
             return mpmath.mpf(enc.anchor.numerator) / enc.anchor.denominator
 
+    def __float__(self) -> float:
+        """The one double that every float path uses for theta: its
+        128-bit value rounded to 53 bits."""
+        return float(self.value(128))
+
     def continued_fraction(self, K: int) -> ContinuedFraction:
         """First K+1 certified partial quotients."""
-        need = 64
-        last_err = None
-        while need <= _MAX_EXPAND_BITS:
+        for enc in _escalating_enclosures(self, 64):
             try:
-                return _cf_from_enclosure(self.best_enclosure(need), K)
+                return _cf_from_enclosure(enc, K)
             except PrecisionExhausted as e:
                 last_err = e
-                if need >= self.max_enclosure_bits():
-                    break
-                need *= 4
         raise last_err
 
     def __repr__(self):
@@ -314,7 +326,7 @@ class CFLiteralTheta(Theta):
         # |theta - c_K| < 1/(m_K m_{K+1}) and m_{K+1} >= m_K + m_{K-1}
         mk = self._convs[-1].m
         mk1_lb = mk + (self._convs[-2].m if len(self._convs) >= 2 else 1)
-        return -(_log2_int(mk) + _log2_int(mk1_lb))
+        return -(math.log2(mk) + math.log2(mk1_lb))
 
     def enclosure(self, bits: int) -> Enclosure:
         err = self._tail_log2()
@@ -427,25 +439,28 @@ class TauBetaTheta(Theta):
 class JarnikTheta(Theta):
     """Number constructed to be approximable to a prescribed order: partial
     quotients grow like psi(m_k)/m_k (see construct_jarnik).  When the target
-    K outgrows the quotient bit budget the constructible prefix is used; the
-    enclosure width still accounts for the (unbuilt) next quotient."""
+    K outgrows the quotient bit budget the constructible prefix is used
+    (`truncated` keeps the reason); the enclosure width still accounts for
+    the (unbuilt) next quotient."""
 
     def __init__(self, psi: PsiFunction, K: int,
                  max_quotient_bits: int = DEFAULT_QUOTIENT_BITS):
         self.psi = psi
         self.K = K
+        self.truncated = None
         try:
             self.cf = construct_jarnik(psi, K, max_quotient_bits)
         except PrecisionExhausted as e:
             if e.partial is None:
                 raise
+            self.truncated = e
             self.cf = e.partial
         self.spec = f"jarnik:{psi.text}:{K}"
         self._convs = convergents(self.cf)
 
     def _tail_log2(self) -> float:
         mK = self._convs[-1].m
-        l2m = _log2_int(mK)
+        l2m = math.log2(mK)
         l2next = max(l2m, self.psi.log2(mK))
         return -(l2m + l2next)
 
@@ -591,15 +606,7 @@ def _dist_from_enclosure(enc: Enclosure, m: int):
 def _resolve_distance(theta: Theta, m: int, rel_bits: int = 40):
     """Certified (dist, log2_err): the radius is at least rel_bits below the
     distance itself (or exactly zero).  Escalates the enclosure on demand."""
-    bits = max(96, m.bit_length() + 96)
-    cap = theta.max_enclosure_bits()
-    while True:
-        try:
-            enc = theta.best_enclosure(bits)
-        except PrecisionExhausted as e:
-            if not isinstance(e.partial, Enclosure):
-                raise
-            enc = e.partial
+    for enc in _escalating_enclosures(theta, max(96, m.bit_length() + 96)):
         d, err = _dist_from_enclosure(enc, m)
         if err == -_INF:
             if d == 0:
@@ -608,11 +615,9 @@ def _resolve_distance(theta: Theta, m: int, rel_bits: int = 40):
             return d, err
         if d > 0 and err <= log2_fraction(d) - rel_bits:
             return d, err
-        if bits >= cap or bits >= _MAX_EXPAND_BITS:
-            raise PrecisionExhausted(
-                f"||{m} * theta|| not resolved at the available precision "
-                f"(anchor distance {float(d):.4g}, radius 2^{err:.4g})")
-        bits = min(bits * 4, _MAX_EXPAND_BITS)
+    raise PrecisionExhausted(
+        f"||{m} * theta|| not resolved at the available precision "
+        f"(anchor distance {float(d):.4g}, radius 2^{err:.4g})")
 
 
 def nearest_distance(theta: Theta, m: int) -> mpmath.mpf:
@@ -643,23 +648,17 @@ def legendre_is_convergent(theta: Theta, n: int, m: int) -> bool:
     _require_irrational(theta, "legendre_is_convergent")
     g = math.gcd(abs(n), m)
     n, m = n // g, m // g
-    bits = max(64, 2 * m.bit_length() + 80)
-    cap = theta.max_enclosure_bits()
-    while True:
-        enc = theta.best_enclosure(bits)
+    bound = Fraction(1, 2 * m)
+    for enc in _escalating_enclosures(theta, max(64, 2 * m.bit_length() + 80)):
         diff = abs(Fraction(n) - m * enc.anchor)
         radius = enc.log2_err + math.log2(m) if enc.log2_err != -_INF else -_INF
-        bound = Fraction(1, 2 * m)
         gap = abs(diff - bound)
         if gap == 0:
             if radius == -_INF:
                 return False  # exactly on the boundary: strict < fails
         elif radius == -_INF or radius <= log2_fraction(gap) - 1:
             return diff < bound
-        if bits >= cap or bits >= _MAX_EXPAND_BITS:
-            raise PrecisionExhausted(
-                "Legendre test not resolved at available precision")
-        bits *= 4
+    raise PrecisionExhausted("Legendre test not resolved at available precision")
 
 
 def _legendre_hits_surd(d: int, M: int) -> list[int]:
@@ -967,10 +966,7 @@ class InvariantReport:
 def _theta_minus(theta: Theta, fr: Fraction):
     """Certified (sign, |theta - fr| as Fraction interval key): returns a
     tuple (low, high) of Fractions bracketing theta - fr."""
-    bits = 96
-    cap = theta.max_enclosure_bits()
-    while True:
-        enc = theta.best_enclosure(bits)
+    for enc in _escalating_enclosures(theta, 96):
         diff = enc.anchor - fr
         if enc.log2_err == -_INF:
             if diff == 0 and enc.side != 0:
@@ -990,11 +986,9 @@ def _theta_minus(theta: Theta, fr: Fraction):
         tight = diff == 0 or rad * (1 << 24) <= abs(diff)
         if sign_known and tight:
             return lo, hi
-        if bits >= cap or bits >= _MAX_EXPAND_BITS:
-            if sign_known:
-                return lo, hi
-            raise PrecisionExhausted("theta comparison unresolved")
-        bits *= 4
+    if sign_known:
+        return lo, hi
+    raise PrecisionExhausted("theta comparison unresolved")
 
 
 def convergent_invariants(theta: Theta, K: int) -> InvariantReport:
@@ -1080,8 +1074,8 @@ def irrationality_base_estimate(cf: ContinuedFraction) -> BaseEstimate:
         if mk.bit_length() > 900:
             lo = hi = 0.0  # exponent underflows: estimate is exactly 1
         else:
-            lo = _log2_int(mk1) / mk
-            hi = _log2_int(mk1 + mk) / mk
+            lo = math.log2(mk1) / mk
+            hi = math.log2(mk1 + mk) / mk
         mid = 0.5 * (lo + hi)
         if best is None or mid > best[0]:
             best = (mid, lo, hi, k)

@@ -15,9 +15,6 @@ import numpy as np
 from .errors import ResourceLimit
 from .realfield import gamma_const
 
-#: Euler-Mascheroni constant at double precision (sourced from the 256-bit value).
-GAMMA = float(gamma_const(256))
-
 #: 2*gamma - 1, the linear coefficient of the smooth main term.
 TWO_GAMMA_MINUS_1 = float(2 * gamma_const(256) - 1)
 
@@ -113,6 +110,26 @@ def summatory_D_many(xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _delta_at(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Delta at the nodes x (one row per piece), where D = d is constant."""
+    return d[:, None] - x * np.log(x) - TWO_GAMMA_MINUS_1 * x
+
+
+def gauss8_pieces(mid: np.ndarray, half: np.ndarray, d1: np.ndarray,
+                  d2: np.ndarray | None = None,
+                  theta: float = 1.0) -> np.ndarray:
+    """8-point Gauss integral of Delta(x) Delta(theta x) over each piece
+    [mid - half, mid + half] on which D(x) = d1 and D(theta x) = d2 are
+    constant.  With d2 omitted the integrand is Delta(x)^2."""
+    xs = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
+    f1 = _delta_at(d1, xs)
+    if d2 is None:
+        return half * ((f1 * f1) @ _GAUSS_WEIGHTS)
+    tn = theta * xs
+    f2 = _delta_at(d2, tn)
+    return half * ((f1 * f2) @ _GAUSS_WEIGHTS)
+
+
 @dataclass(frozen=True)
 class DeltaSample:
     """One evaluation of the error term: D(floor(x)) and the remainder."""
@@ -127,10 +144,7 @@ def delta(x: float) -> float:
 
     Right-continuous at integers (jump of size tau(n) at x = n).
     """
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    d = summatory_D(math.floor(x))
-    return d - x * math.log(x) - TWO_GAMMA_MINUS_1 * x
+    return delta_sample(x).delta
 
 
 def delta_sample(x: float) -> DeltaSample:
@@ -171,9 +185,8 @@ def mean_square(X: float, table: DivisorTable | None = None) -> float:
     chunk = 1 << 18
     for start in range(0, len(left), chunk):
         stop = min(start + chunk, len(left))
-        xs = mid[start:stop, None] + half[start:stop, None] * _GAUSS_NODES[None, :]
-        dd = dvals[start:stop, None] - xs * np.log(xs) - TWO_GAMMA_MINUS_1 * xs
-        piece = half[start:stop] * ((dd * dd) @ _GAUSS_WEIGHTS)
+        piece = gauss8_pieces(mid[start:stop], half[start:stop],
+                              dvals[start:stop])
         chunk_sums.append(math.fsum(piece.tolist()))
     return math.fsum(chunk_sums)
 

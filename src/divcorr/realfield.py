@@ -30,15 +30,18 @@ def gamma_const(bits: int = DEFAULT_PRECISION) -> mpmath.mpf:
         return +mpmath.euler
 
 
-def pi_const(bits: int = DEFAULT_PRECISION) -> mpmath.mpf:
-    with mpmath.workprec(bits):
-        return +mpmath.pi
-
-
 def sqrt_const(d: int, bits: int = DEFAULT_PRECISION) -> mpmath.mpf:
     """sqrt(d) at `bits` bits, for integer d >= 0."""
     with mpmath.workprec(bits):
         return mpmath.sqrt(d)
+
+
+def _fmt(x) -> str:
+    """17 significant digits: every double round-trips; mpf values (which
+    can underflow a double) print through mpmath."""
+    if isinstance(x, mpmath.mpf):
+        return mpmath.nstr(x, 17)
+    return format(float(x), ".17g")
 
 
 def to_fraction(x) -> Fraction:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diophantine import Theta
 from .divisor import DivisorTable
 from .errors import ResourceLimit
 
@@ -121,11 +120,11 @@ def q_n(x: float, n_terms: int, table: DivisorTable) -> float:
 
 
 def a_mn(theta, m: int, n: int) -> float:
-    """Spectral frequency 4 pi (sqrt(m theta) - sqrt(n))."""
+    """Spectral frequency 4 pi (sqrt(m theta) - sqrt(n)); theta is a Theta
+    or a number, taken as float(theta)."""
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
-    th = float(theta.value(64)) if isinstance(theta, Theta) else float(theta)
-    return _4PI * (math.sqrt(m * th) - math.sqrt(n))
+    return _4PI * (math.sqrt(m * float(theta)) - math.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,8 @@ class SpectralParams:
         if psi is None:
             T = math.inf
         else:
-            th = float(theta.value(64)) if isinstance(theta, Theta) else float(theta)
-            T = math.pi / math.sqrt(th) * math.sqrt(X / psi.inverse(X ** 0.25))
+            T = (math.pi / math.sqrt(float(theta))
+                 * math.sqrt(X / psi.inverse(X ** 0.25)))
         return cls(X=X, N=N, T=T)
 
 
@@ -183,7 +182,7 @@ def spectral_j(theta, params: SpectralParams, table: DivisorTable,
     if N == 0:
         return SpectralReport(0.0, 0.0, 0.0, 0, 0, params)
 
-    th = float(theta.value(64)) if isinstance(theta, Theta) else float(theta)
+    th = float(theta)
     n = np.arange(1, N + 1, dtype=np.float64)
     coef = table.counts[1:N + 1] / n**0.75
     sqrt_n = np.sqrt(n)
@@ -200,7 +199,7 @@ def spectral_j(theta, params: SpectralParams, table: DivisorTable,
     ms = range(1, N + 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(row, ms, chunksize=64))
+            rows = list(ex.map(row, ms))
     else:
         rows = [row(m) for m in ms]
 

@@ -60,6 +60,12 @@ def test_cf_construct_jarnik(capsys):
     assert ",True" in out.strip().splitlines()[-1]
 
 
+def test_cf_construct_rejects_plain_theta(capsys):
+    code, _, err = run(capsys, "cf", "--construct", "surd:2")
+    assert code == 2
+    assert "unknown constructor" in err
+
+
 def test_cf_parse_error_position(capsys):
     code, _, err = run(capsys, "cf", "--theta", "surd:x")
     assert code == 2

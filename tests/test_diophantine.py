@@ -176,6 +176,45 @@ def test_tau_beta_residual_matches_construction():
 # --- Legendre ----------------------------------------------------------------
 
 
+class _Unresolvable(dio.Theta):
+    """A theta whose enclosure never settles anything; records each
+    request that reaches enclosure()."""
+
+    spec = "unresolvable"
+
+    def __init__(self, cap=math.inf):
+        self.cap = cap
+        self.requests = []
+
+    def enclosure(self, bits):
+        self.requests.append(bits)
+        return dio.Enclosure(Fraction(99, 70), 0.0)
+
+    def max_enclosure_bits(self):
+        return self.cap
+
+
+@pytest.mark.parametrize("call,start", [
+    (lambda th: th.continued_fraction(3), 64),
+    (lambda th: dio.nearest_distance(th, 1), 97),
+    (lambda th: dio.legendre_is_convergent(th, 1, 1), 82),
+    (lambda th: dio._theta_minus(th, Fraction(1)), 96),
+], ids=["continued_fraction", "nearest_distance", "legendre", "theta_minus"])
+def test_enclosure_escalation_schedule(call, start):
+    # x4 per attempt; the last attempt is capped at 2^24 bits, or at the
+    # theta's own max_enclosure_bits when that is smaller
+    top = 1 << 24
+    full = [start * 4**k for k in range(12) if start * 4**k < top] + [top]
+    th = _Unresolvable()
+    with pytest.raises(PrecisionExhausted):
+        call(th)
+    assert th.requests == full
+    th = _Unresolvable(cap=1000)
+    with pytest.raises(PrecisionExhausted):
+        call(th)
+    assert th.requests == [b for b in full if b < 1000] + [1000]
+
+
 def test_legendre_predicate_examples():
     pi = dio.DecimalTheta("3.14159265358979323846264338327950288")
     assert dio.legendre_is_convergent(pi, 22, 7)  # |22 - 7 pi| ~ 0.0089 < 1/14

@@ -135,6 +135,14 @@ def test_a_mn_values():
         a_mn(theta_parse("surd:2"), 0, 1)
 
 
+def test_theta_enters_as_one_correctly_rounded_double():
+    theta = theta_parse("surd:2435")
+    th = float(theta)
+    assert th == float.fromhex("0x1.8ac40868f92c1p+5") == math.sqrt(2435)
+    # the spectral frequencies use the same double as the exact integral
+    assert a_mn(theta, 1, 1) == a_mn(th, 1, 1)
+
+
 def spectral_brute(th: float, X: float, N: int, table):
     acc = 0.0
     for m in range(1, N + 1):
