@@ -18,8 +18,8 @@ import mpmath
 
 from .errors import (ConstructionInfeasible, PrecisionExhausted,
                      ThetaParseError)
-from .realfield import (PsiFunction, log2_fraction, psi_parse, sqrt_const,
-                        to_fraction)
+from .realfield import (PsiFunction, log2_fraction, log2_ratio, psi_parse,
+                        sqrt_const, to_fraction)
 
 _INF = math.inf
 
@@ -30,6 +30,11 @@ DEFAULT_QUOTIENT_BITS = 1 << 22
 PARTIAL_SUM_BITS = 1 << 21
 
 _MAX_EXPAND_BITS = 1 << 24
+
+#: the range over which the scan screen's log2 inputs have a measured error
+#: bound: m up to 2**53, log2 values up to 2**30 in magnitude
+_SCREEN_M_MAX = 2 ** 53
+_SCREEN_LOG2_MAX = 2.0 ** 30
 
 
 def fibonacci(k: int) -> int:
@@ -366,6 +371,7 @@ class TauBetaTheta(Theta):
         self.spec = f"taubeta:{a}/{b}:{depth}"
         self._towers = [1]
         self._partials = {}
+        self._max_depth = None
 
     def tower(self, i: int) -> int:
         """t_i (1-indexed); raises PrecisionExhausted when unrepresentable."""
@@ -380,15 +386,19 @@ class TauBetaTheta(Theta):
 
     def max_depth(self) -> int:
         """Largest depth whose exact partial sum fits the bit budget."""
-        d = 1
-        while True:
-            try:
-                t_next = self.tower(d + 1)
-            except PrecisionExhausted:
-                return d
-            if t_next.bit_length() > 40 or t_next * math.log2(self.a) > PARTIAL_SUM_BITS:
-                return d
-            d += 1
+        if self._max_depth is None:
+            d = 1
+            while True:
+                try:
+                    t_next = self.tower(d + 1)
+                except PrecisionExhausted:
+                    break
+                if (t_next.bit_length() > 40
+                        or t_next * math.log2(self.a) > PARTIAL_SUM_BITS):
+                    break
+                d += 1
+            self._max_depth = d
+        return self._max_depth
 
     def partial_sum(self, depth: int) -> Fraction:
         if depth not in self._partials:
@@ -749,24 +759,42 @@ class ScanResult:
 def _compare_dist_threshold(d: Fraction, err: float, psi: PsiFunction, m: int):
     """Certified comparison of dist = d +- 2^err against 1/psi(m).
 
-    Returns (hit, dist_mpf, threshold_mpf)."""
+    Returns (hit, dist_mpf, threshold_mpf).
+
+    Screen: for m <= 2**53, l2d = log2_fraction(d) and l2thr = -psi.log2(m)
+    are floats within 2**-20 of the exact logs while both are at most 2**30
+    in magnitude (measured against a 256-bit reference in
+    tests/test_realfield.py).  When they differ by more than 1 bit, the
+    order of d and 1/psi(m) is the order of the floats, and the exact gap
+    has log2(gap) >= min(l2d, l2thr) - 2**-17; so a radius err at least 3
+    bits below both cannot reach the exact test's limit log2(gap) - 1 and
+    the screen returns what that test would.  Otherwise families with an
+    exact psi(m) = P/Q compare d.numerator * P with Q * d.denominator, and
+    the others keep a 1e-6 guard band in log2.
+    """
     with mpmath.workprec(96):
         thr = 1 / psi.eval(m, 96)
         dm = (mpmath.mpf(d.numerator) / d.denominator) if d > 0 else mpmath.mpf(0)
-    exact = psi.eval_fraction(m)
-    if exact is not None:
-        bound = 1 / exact
-        gap = abs(d - bound)
-        if gap == 0:
+    l2thr = -psi.log2(m)
+    l2d = log2_fraction(d) if d > 0 else -_INF
+    if (m <= _SCREEN_M_MAX and abs(l2d - l2thr) > 1
+            and max(abs(l2d), abs(l2thr)) <= _SCREEN_LOG2_MAX
+            and err <= min(l2d, l2thr) - 3):
+        return l2d < l2thr, dm, thr
+    pq = psi.exact_pair(m)
+    if pq is not None:
+        # d < Q/P  <=>  d.numerator * P < Q * d.denominator
+        P, Q = pq
+        diff = d.numerator * P - Q * d.denominator
+        if diff == 0:
             if err != -_INF:
                 raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
             return False, dm, thr  # boundary: strict inequality fails
-        if err != -_INF and err > log2_fraction(gap) - 1:
+        # gap = |d - Q/P| = |diff| / (d.denominator * P)
+        if err != -_INF and err > log2_ratio(abs(diff), d.denominator * P) - 1:
             raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
-        return d < bound, dm, thr
+        return diff < 0, dm, thr
     # no exact threshold available: compare in log2 with a wide guard band
-    l2thr = -psi.log2(m)
-    l2d = log2_fraction(d) if d > 0 else -_INF
     if err != -_INF and err > min(l2d, l2thr) - 2:
         raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
     if abs(l2d - l2thr) < 1e-6:

@@ -67,7 +67,12 @@ def log2_fraction(f: Fraction) -> float:
     """log2 of a positive Fraction, good to ~1e-12 even for huge entries."""
     if f <= 0:
         raise ValueError("log2 of non-positive value")
-    p, q = f.numerator, f.denominator
+    return log2_ratio(f.numerator, f.denominator)
+
+
+def log2_ratio(p: int, q: int) -> float:
+    """log2(p / q) for positive ints p, q, which need not be coprime: from
+    the top 53 bits and the bit length of each, with no gcd."""
     pb, qb = p.bit_length(), q.bit_length()
     # scale both into float range
     ps = p >> (pb - 53) if pb > 53 else p
@@ -124,6 +129,13 @@ class PsiFunction:
         self.param = param
         self.inner = inner
         self.text = text if text is not None else self._render()
+        if kind == "exp":
+            # log2 of the base, to within an ulp: log2(x) multiplies it by x,
+            # so its relative error is the relative error of the result
+            # (log2_fraction cancels for bases near 1)
+            a, b = param.numerator, param.denominator
+            with mpmath.workprec(a.bit_length() + b.bit_length() + 64):
+                self._log2_base = float(mpmath.log(mpmath.mpf(a) / b, 2))
 
     def _render(self) -> str:
         if self.kind == "pow":
@@ -153,14 +165,20 @@ class PsiFunction:
     __call__ = eval
 
     def log2(self, x) -> float:
-        """log2(psi(x)); x may be a huge int.  Saturates to +inf."""
+        """log2(psi(x)); x may be a huge int.  Saturates to +inf.
+
+        At integer x <= 2**53 a finite value v is a few float roundings from
+        the exact one: for |v| <= 2**30 the error measured against a 256-bit
+        reference is below 2**-20 (tests/test_realfield.py).  Above 2**53
+        the pow family uses floor(log2 x).
+        """
         lx = x.bit_length() - 1 if isinstance(x, int) and x > 2**53 else None
         if self.kind == "pow":
             s = float(self.param)
             l2x = math.log2(float(x)) if lx is None else float(lx)
             return s * l2x
         if self.kind == "exp":
-            l2b = log2_fraction(self.param)
+            l2b = self._log2_base
             if lx is not None:
                 return math.inf if lx > 60 else float(x) * l2b
             return float(x) * l2b
@@ -171,17 +189,26 @@ class PsiFunction:
             return math.inf if e > _LOG2_SATURATE else e * math.log2(math.e)
         return log2_fraction(self.param) + self.inner.log2(x)
 
+    def exact_pair(self, m: int) -> tuple[int, int] | None:
+        """psi(m) = P / Q at integer m, as ints (P, Q) with Q > 0 that are
+        not reduced to lowest terms; None when the family has no exact
+        value.  Skipping the reduction saves a gcd of two huge coprime
+        powers (a**m, b**m)."""
+        if self.kind == "exp":
+            return self.param.numerator ** m, self.param.denominator ** m
+        if self.kind == "pow" and self.param.denominator == 1:
+            return m ** self.param.numerator, 1
+        if self.kind == "scale":
+            pq = self.inner.exact_pair(m)
+            if pq is None:
+                return None
+            return self.param.numerator * pq[0], self.param.denominator * pq[1]
+        return None
+
     def eval_fraction(self, m: int) -> Fraction | None:
         """Exact value of psi(m) at integer m, when the family allows it."""
-        if self.kind == "exp":
-            a, b = self.param.numerator, self.param.denominator
-            return Fraction(a**m, b**m)
-        if self.kind == "pow" and self.param.denominator == 1:
-            return Fraction(m ** self.param.numerator)
-        if self.kind == "scale":
-            f = self.inner.eval_fraction(m)
-            return None if f is None else self.param * f
-        return None
+        pq = self.exact_pair(m)
+        return None if pq is None else Fraction(*pq)
 
     def ceil_div(self, m: int, bits_budget: int) -> int:
         """ceil(psi(m) / m) exactly; the quotient that a Jarnik-style
@@ -192,10 +219,10 @@ class PsiFunction:
             raise PrecisionExhausted(
                 f"quotient psi({m})/{m} needs ~{l2 - math.log2(m):.3g} bits",
                 partial=None)
-        exact = self.eval_fraction(m)
-        if exact is not None:
-            num, den = exact.numerator, exact.denominator * m
-            return -((-num) // den)
+        pq = self.exact_pair(m)
+        if pq is not None:
+            # a ceiling does not depend on the pair being in lowest terms
+            return -((-pq[0]) // (pq[1] * m))
         # mpf route with certification by precision doubling
         bits = max(64, int(l2) + 96)
         prev = None

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from divcorr import diophantine as dio
 from divcorr.errors import (ConstructionInfeasible, PrecisionExhausted,
                             ThetaParseError)
-from divcorr.realfield import psi_parse
+from divcorr.realfield import (PsiFunction, _fmt, log2_fraction, psi_parse,
+                               to_fraction)
 
 
 def surd_cf_oracle(d: int, K: int):
@@ -324,6 +326,138 @@ def test_scan_includes_convergent_near_misses():
     assert set([1, 2, 5, 12, 29, 70]) <= set(conv_events)
     for e in res.events:
         assert e.hit == (e.dist < e.threshold)
+
+
+# Pinned scans: the SHA-256 of every event (m, hit, is_convergent, dist,
+# threshold) and certified_to, recorded before the log2 screen and the
+# integer cross-multiplication replaced the Fraction comparison.
+SCAN_DIGESTS = [
+    ("taubeta:2/1:4", "exp:1.5", 2**16,
+     "2cd7f90d1f730d8e88006bd76fc332be19449c50231b208de71225ebf991a8ed"),
+    ("taubeta:2/1:4", "exp:3", 2**16,
+     "c01924639f1633a5cf57ec89b85c6c8a21f46df1188da3c52f9aba0fe3de42c1"),
+    ("surd:2", "pow:3", 10**4,
+     "fe96660edc7c2f8cba3efe8fad2b1b1beb0cc10625f7d336ec2b1e8d1b824634"),
+]
+
+
+def _scan_digest(res) -> str:
+    h = hashlib.sha256()
+    for e in res.events:
+        h.update(f"{e.m},{e.hit},{e.is_convergent},{_fmt(e.dist)},"
+                 f"{_fmt(e.threshold)}\n".encode())
+    h.update(f"certified_to={res.certified_to}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("theta,psi,M,digest", SCAN_DIGESTS,
+                         ids=[f"{t}-{p}" for t, p, _, _ in SCAN_DIGESTS])
+def test_scan_events_are_pinned(theta, psi, M, digest):
+    res = dio.approximability_scan(dio.theta_parse(theta), psi_parse(psi), M)
+    assert _scan_digest(res) == digest
+
+
+def test_scan_screen_leaves_few_exact_comparisons(monkeypatch):
+    """The log2 screen decides all but a few events; the rest build the
+    exact pair (a**m, b**m)."""
+    calls = []
+    exact_pair = PsiFunction.exact_pair
+
+    def counted(self, m):
+        calls.append(m)
+        return exact_pair(self, m)
+
+    monkeypatch.setattr(PsiFunction, "exact_pair", counted)
+    res = dio.approximability_scan(dio.theta_parse("taubeta:2/1:4"),
+                                   psi_parse("exp:1.5"), 2**16)
+    assert len(res.events) == 2110
+    assert len(calls) < 0.01 * len(res.events)
+
+
+def _fraction_compare(d, err, psi, m):
+    """The scan comparison as it was before the log2 screen: reduce psi(m)
+    to a Fraction and compare d with its inverse.  Oracle for the property
+    below."""
+    with mpmath.workprec(96):
+        thr = 1 / psi.eval(m, 96)
+        dm = (mpmath.mpf(d.numerator) / d.denominator) if d > 0 else mpmath.mpf(0)
+    exact = psi.eval_fraction(m)
+    if exact is not None:
+        bound = 1 / exact
+        gap = abs(d - bound)
+        if gap == 0:
+            if err != -math.inf:
+                raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
+            return False, dm, thr  # boundary: strict inequality fails
+        if err != -math.inf and err > log2_fraction(gap) - 1:
+            raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
+        return d < bound, dm, thr
+    # no exact threshold available: compare in log2 with a wide guard band
+    l2thr = -psi.log2(m)
+    l2d = log2_fraction(d) if d > 0 else -math.inf
+    if err != -math.inf and err > min(l2d, l2thr) - 2:
+        raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
+    if abs(l2d - l2thr) < 1e-6:
+        raise PrecisionExhausted(f"scan comparison too close to call at m={m}")
+    return l2d < l2thr, dm, thr
+
+
+_COMPARE_PSIS = ["exp:3/2", "exp:3", "exp:7/5", "pow:3", "pow:2", "pow:5/2",
+                 "scale:2/3:exp:3", "scale:5:pow:2", "expexp",
+                 "scale:1/2:expexp"]
+
+
+@st.composite
+def _comparisons(draw):
+    """(d, err, psi, m): d exactly at 1/psi(m), within a bit of it, or far
+    from it; err exact (-inf), near a decision limit, or far below it."""
+    psi = psi_parse(draw(st.sampled_from(_COMPARE_PSIS)))
+    m = draw(st.integers(1, 8 if psi.text.endswith("expexp") else 2000))
+    exact = psi.eval_fraction(m)
+    if exact is not None:
+        bound = 1 / exact
+    else:
+        bound = to_fraction(1 / psi.eval(m, 160))
+    where = draw(st.sampled_from(["tie", "near", "far"]))
+    if where == "tie":
+        d = bound
+    else:
+        frac = Fraction(draw(st.integers(1, 2**20)), 2**21)  # (0, 1/2]
+        if where == "near":
+            d = bound * (1 + draw(st.sampled_from([-1, 1]))
+                         * frac / 2**draw(st.integers(0, 120)))
+        else:  # from 1 bit (k = 1) to 200 bits away, above or below
+            far = (1 + frac) * Fraction(2) ** draw(st.integers(1, 200))
+            d = bound * far if draw(st.booleans()) else bound / far
+    l2d, l2thr = log2_fraction(d), -psi.log2(m)
+    limits = [min(l2d, l2thr) - 2, min(l2d, l2thr) - 3]
+    if d != bound:
+        limits.append(log2_fraction(abs(d - bound)) - 1)
+    how = draw(st.sampled_from(["exact", "near", "below"]))
+    if how == "exact":
+        err = -math.inf
+    elif how == "near":
+        # two correct roundings of log2(gap) may differ in the last bits,
+        # so the draw stays clear of the limit by 1e-6
+        u = draw(st.floats(-3, 3).filter(lambda u: abs(u) >= 1e-6))
+        err = draw(st.sampled_from(limits)) + u
+    else:
+        err = min(limits) - draw(st.integers(1, 300))
+    return d, err, psi, m
+
+
+def _outcome(compare, d, err, psi, m):
+    try:
+        return compare(d, err, psi, m)
+    except PrecisionExhausted as e:
+        return str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_comparisons())
+def test_compare_matches_fraction_oracle(case):
+    assert (_outcome(dio._compare_dist_threshold, *case)
+            == _outcome(_fraction_compare, *case))
 
 
 # --- constructions -----------------------------------------------------------

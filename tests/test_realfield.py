@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from divcorr.errors import PsiParseError
 from divcorr.realfield import (certified_floor, gamma_const, log2_fraction,
-                               psi_inverse, psi_parse, to_fraction)
+                               log2_ratio, psi_inverse, psi_parse,
+                               to_fraction)
 
 # published digits (independent reference)
 GAMMA_50 = "0.57721566490153286060651209008240243104215933593992"
@@ -134,5 +135,119 @@ def test_psi_exact_fraction_and_ceil_div():
     assert g.ceil_div(4, 1 << 20) == 21  # ceil(81/4)
     s = psi_parse("scale:0.5:exp:3")
     assert s.eval_fraction(2) == Fraction(9, 2)
+    # the pair is not reduced; eval_fraction and ceil_div agree with it
+    h = psi_parse("scale:4/3:exp:3/2")
+    assert h.exact_pair(5) == (4 * 3**5, 3 * 2**5)
+    assert h.eval_fraction(5) == Fraction(4, 3) * Fraction(3, 2) ** 5
+    assert h.ceil_div(5, 1 << 20) == 3  # ceil(81/8 / 5)
+    assert psi_parse("pow:3").exact_pair(7) == (343, 1)
+    assert psi_parse("pow:5/2").exact_pair(7) is None
+    assert psi_parse("expexp").exact_pair(2) is None
     e = psi_parse("expexp")
     assert e.ceil_div(1, 1 << 20) == 16  # ceil(e^e) = 16
+
+
+# --- measured error of the log2 values the scan screen compares ------------
+#
+# diophantine._compare_dist_threshold decides most scan events from
+# log2_fraction(d) and psi.log2(m) alone, with a 1-bit margin; it relies on
+# both being within 2**-20 of the exact value while at most 2**30 in
+# magnitude.  The reference is mpmath at 256 bits.
+
+_LOG2_TOL = 2.0 ** -20
+
+
+def _ref_log2_int(n: int) -> mpmath.mpf:
+    """log2 of a positive int at 256 bits, from its top 300 bits (the rest
+    moves the value by less than 2**-298)."""
+    s = max(n.bit_length() - 300, 0)
+    with mpmath.workprec(256):
+        return mpmath.log(mpmath.mpf(n >> s), 2) + s
+
+
+def _ref_log2(x) -> mpmath.mpf:
+    """log2 of a positive int or Fraction at 256 bits."""
+    x = Fraction(x)
+    with mpmath.workprec(256):
+        return _ref_log2_int(x.numerator) - _ref_log2_int(x.denominator)
+
+
+def _ratio_cases():
+    """(a, ka, b, kb, exact log2(p/q)) with p = a << ka, q = b << kb, up to
+    2**30 in magnitude; the test shifts in place, so at most one operand of
+    2**30 bits (128 MiB) is alive at a time."""
+    odd = [1, 3, 2**52 + 1, 2**53 - 1, 3**200, 10**40 + 7]
+    for a in odd:
+        for b in odd[:4]:
+            yield a, 0, b, 0, _ref_log2(Fraction(a, b))
+    a, b = 5**30 + 2, 2**61 - 1
+    for k in (60, 1000, 2**20 + 3, 2**24 + 77, 2**28 - 5, 2**30 - 64):
+        with mpmath.workprec(256):
+            yield a, k, b, 0, _ref_log2(Fraction(a, b)) + k
+            yield a, 0, b, k, _ref_log2(Fraction(a, b)) - k
+    # both huge: the rounding of each bit-length sum no longer cancels
+    a, b, k = 3**40, 7**20, 2**27
+    with mpmath.workprec(256):
+        yield a, k, b, k - 9, _ref_log2(Fraction(a, b)) + 9
+
+
+def test_log2_ratio_measured_error():
+    worst = 0.0
+    for a, ka, b, kb, ref in _ratio_cases():
+        with mpmath.workprec(256):
+            err = abs(log2_ratio(a << ka, b << kb) - ref)
+        worst = max(worst, float(err))
+    assert worst <= _LOG2_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**(2**12)), st.integers(1, 2**(2**12)),
+       st.integers(0, 2**24))
+def test_log2_fraction_measured_error(p, q, k):
+    f = Fraction(p << k, q)
+    with mpmath.workprec(256):
+        assert abs(log2_fraction(f) - _ref_log2(f)) <= _LOG2_TOL
+        assert abs(log2_fraction(1 / f) + _ref_log2(f)) <= _LOG2_TOL
+
+
+def _psi_ref_log2(text: str, m: int) -> mpmath.mpf:
+    """log2(psi(m)) at 256 bits, from the closed form of each family."""
+    head, _, rest = text.partition(":")
+    with mpmath.workprec(256):
+        if head == "pow":
+            s = Fraction(rest)
+            return mpmath.mpf(s.numerator) / s.denominator * _ref_log2(m)
+        if head == "exp":
+            return m * _ref_log2(Fraction(rest))
+        if head == "expexp":
+            return mpmath.exp(m) / mpmath.log(2)
+        c, _, inner = rest.partition(":")
+        return _ref_log2(Fraction(c)) + _psi_ref_log2(inner, m)
+
+
+_PSI_LOG2_CASES = [
+    ("exp:3/2", [1, 7, 2**16, 3 * 2**16 - 1, 12345678, 1835008000]),
+    ("exp:3", [1, 2**16, 677000000]),
+    ("exp:1.1", [10**6, 7800000000]),
+    # bases near 1, where log2(a) - log2(b) would cancel
+    ("exp:1.000001", [2**40, 740000000000000]),
+    ("exp:1099511627777/1099511627776", [2**40, 2**53]),
+    ("exp:1.2345678901234567890", [2**31 + 1, 3500000000]),
+    ("pow:3", [1, 2, 10**4, 2**53]),
+    ("pow:5/2", [7, 2**50 + 1]),
+    ("pow:16777216", [2**53 - 1]),
+    ("expexp", [1, 2, 10, 20]),
+    ("scale:4/3:exp:3/2", [5, 2**20]),
+    ("scale:1/1000:pow:2", [1, 2**52 + 1]),
+]
+
+
+@pytest.mark.parametrize("text,ms", _PSI_LOG2_CASES,
+                         ids=[t for t, _ in _PSI_LOG2_CASES])
+def test_psi_log2_measured_error(text, ms):
+    psi = psi_parse(text)
+    for m in ms:
+        ref = _psi_ref_log2(text, m)
+        assert abs(ref) <= 2**30
+        with mpmath.workprec(256):
+            assert abs(psi.log2(m) - ref) <= _LOG2_TOL, m
