@@ -25,7 +25,7 @@ from .diophantine import (ContinuedFraction, JarnikTheta, TauBetaTheta, Theta,
 from .divisor import delta, mean_square, sieve_tau, tong_ratio_oracle
 from .errors import (ConstructionInfeasible, PrecisionExhausted, PsiParseError,
                      ResourceLimit, ThetaParseError)
-from .realfield import _fmt, psi_parse
+from .realfield import _fmt, log2_ratio, psi_parse
 from .voronoi import SpectralParams, lambda_kernel, osc_integral, q_n, spectral_j
 
 EXIT_OK = 0
@@ -94,6 +94,25 @@ def _print_cf_table(cfg: RunConfig, theta: Theta | None, cf: ContinuedFraction):
         _emit(f"{c.k},{ak},{c.n},{c.m},{dist}")
 
 
+def _psi_target(psi, m: int, m_next: int) -> tuple[float, bool]:
+    """(log2 psi(m), whether m_next >= psi(m)) for a row of the Jarnik table.
+
+    The two sides of a constructed row agree to far below float resolution,
+    and psi.log2 reads floor(log2 m) above 2^53.  psi is increasing, so
+    log2 psi(m) lies between psi.log2 at the powers of two around m; with
+    log2(m_next) outside that bracket (widened by a bit for rounding) the
+    floats decide.  Inside it, a family with an exact pair psi(m) = P/Q
+    decides by m_next * Q >= P, and P has about as many bits as m_next.
+    """
+    l2n, l2p = math.log2(m_next), psi.log2(m)
+    b = m.bit_length()
+    if psi.log2(1 << (b - 1)) - 1 <= l2n <= psi.log2(1 << b) + 1:
+        pq = psi.exact_pair(m)
+        if pq is not None:
+            return log2_ratio(*pq), m_next * pq[1] >= pq[0]
+    return l2p, l2n >= l2p
+
+
 def cmd_cf(cfg: RunConfig, args) -> int:
     _emit(cfg.header("cf"))
     if args.construct:
@@ -118,12 +137,14 @@ def cmd_cf(cfg: RunConfig, args) -> int:
             _emit("k,m_k,log2_m_next,log2_psi_mk,target_met")
             convs = convergents(cf)
             for k in range(2, len(convs)):
-                l2p = psi.log2(convs[k].m)
                 if k + 1 < len(convs):
                     l2n = math.log2(convs[k + 1].m)
+                    l2p, met = _psi_target(psi, convs[k].m, convs[k + 1].m)
                 else:
+                    l2p = psi.log2(convs[k].m)
                     l2n = max(l2p, math.log2(convs[k].m))
-                _emit(f"{k},{convs[k].m},{_fmt(l2n)},{_fmt(l2p)},{l2n >= l2p}")
+                    met = l2n >= l2p
+                _emit(f"{k},{convs[k].m},{_fmt(l2n)},{_fmt(l2p)},{met}")
             return EXIT_OK
         raise ValueError(f"unknown constructor {theta.spec!r} (taubeta/jarnik)")
 

@@ -21,6 +21,11 @@ TWO_GAMMA_MINUS_1 = float(2 * gamma_const(256) - 1)
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 _SIEVE_LIMIT_CAP = 200_000_000
+#: summatory_D works in int64; summatory_D_many's rows are isqrt(x) wide.
+_SUMMATORY_X_CAP = 2**63 - 1
+_SUMMATORY_MANY_CAP = 2**44 - 1
+#: Entries per int64 block of the hyperbola sum (8 MB).
+_HYPERBOLA_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,13 @@ class DivisorTable:
 
 
 def sieve_tau(limit: int) -> DivisorTable:
-    """Divisor-count sieve up to `limit` (O(limit log limit) increments)."""
+    """Divisor-count sieve up to `limit`.
+
+    Counts each divisor pair (k, n/k) with k <= n/k once: for every
+    k <= isqrt(limit), 2 for each multiple n >= k^2 of k, less 1 at n = k^2
+    where the pair is one divisor.  That is isqrt(limit) strided numpy
+    updates touching about (limit/2) ln(limit) entries in all.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > _SIEVE_LIMIT_CAP:
@@ -58,12 +69,9 @@ def sieve_tau(limit: int) -> DivisorTable:
             f"sieve limit {limit} exceeds cap {_SIEVE_LIMIT_CAP}",
             suggested_cap=_SIEVE_LIMIT_CAP)
     counts = np.zeros(limit + 1, dtype=np.int32)
-    half = limit // 2
-    for k in range(1, half + 1):
-        counts[k::k] += 1
-    # divisors k > limit/2 hit only n = k
-    counts[half + 1:] += 1
-    counts[0] = 0
+    for k in range(1, math.isqrt(limit) + 1):
+        counts[k * k::k] += 2
+        counts[k * k] -= 1
     counts.flags.writeable = False
     return DivisorTable(limit=limit, counts=counts)
 
@@ -71,25 +79,46 @@ def sieve_tau(limit: int) -> DivisorTable:
 def summatory_D(x: int) -> int:
     """D(x) = sum_{n <= x} tau(n), exactly, via the hyperbola identity
 
-        D(x) = 2 * sum_{k <= sqrt(x)} floor(x/k) - floor(sqrt(x))^2
+        D(x) = 2 * sum_{k <= r} floor(x/k) - r^2,   r = isqrt(x).
 
-    in O(sqrt x) integer operations.
+    The sum runs over int64 numpy blocks k0 <= k < k0 + len, with
+    len * (x // k0) <= 2^62 so that no block sum overflows (len >= 1), and
+    len <= 2^20 (8 MB); the block sums add up as Python ints.  Below
+    x = 2^42 every block but the last has 2^20 terms, so the O(sqrt x)
+    divisions take about sqrt(x) / 2^20 numpy calls; above it the first
+    blocks are shorter and grow with k0.  x >= 2^63 does not fit int64 and
+    raises ResourceLimit.
     """
     x = int(x)
     if x < 0:
         raise ValueError("x must be non-negative")
-    if x == 0:
-        return 0
+    if x > _SUMMATORY_X_CAP:
+        raise ResourceLimit(
+            f"summatory_D: x={x} exceeds cap {_SUMMATORY_X_CAP}",
+            suggested_cap=_SUMMATORY_X_CAP)
     r = math.isqrt(x)
     s = 0
-    for k in range(1, r + 1):
-        s += x // k
+    k0 = 1
+    while k0 <= r:
+        n = min(max(1, (1 << 62) // (x // k0)), _HYPERBOLA_BLOCK, r - k0 + 1)
+        k = np.arange(k0, k0 + n, dtype=np.int64)
+        s += int(np.floor_divide(x, k, out=k).sum())
+        k0 += n
     return 2 * s - r * r
 
 
 def summatory_D_many(xs: np.ndarray) -> np.ndarray:
-    """Vectorized hyperbola-identity D(x) for an int array (values >= 0)."""
+    """Vectorized hyperbola-identity D(x) for an int array (values >= 0).
+
+    Each x costs a row isqrt(max(xs)) wide, summed in int64, so
+    max(xs) >= 2^44 raises ResourceLimit before anything is allocated.
+    """
     xs = np.asarray(xs, dtype=np.int64)
+    top = int(xs.max()) if len(xs) else 0
+    if top > _SUMMATORY_MANY_CAP:
+        raise ResourceLimit(
+            f"summatory_D_many: max x={top} exceeds cap {_SUMMATORY_MANY_CAP}",
+            suggested_cap=_SUMMATORY_MANY_CAP)
     out = np.zeros(len(xs), dtype=np.int64)
     pos = xs > 0
     xv = xs[pos]

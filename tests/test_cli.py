@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -58,6 +60,37 @@ def test_cf_construct_jarnik(capsys):
     assert code == 0
     assert "target_met" in out
     assert ",True" in out.strip().splitlines()[-1]
+
+
+def jarnik_rows(capsys, spec):
+    code, out, _ = run(capsys, "cf", "--construct", spec)
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("k,m_k,log2_m_next,log2_psi_mk,target_met") + 1
+    return [line.split(",") for line in lines[start:]]
+
+
+@pytest.mark.parametrize("spec,psi", [
+    ("jarnik:pow:3:7", lambda m: Fraction(m**3)),
+    ("jarnik:pow:3:9", lambda m: Fraction(m**3)),
+    ("jarnik:exp:7/5:10", lambda m: Fraction(7, 5)**m),
+])
+def test_cf_jarnik_target_met_is_exact(capsys, spec, psi):
+    rows = jarnik_rows(capsys, spec)
+    assert len(rows) >= 5
+    # every row but the last has its m_{k+1} printed on the next row
+    for row, nxt in zip(rows, rows[1:]):
+        assert int(nxt[1]) >= psi(int(row[1]))
+        assert row[4] == "True"
+
+
+def test_cf_jarnik_log2_psi_above_2_53(capsys):
+    row = jarnik_rows(capsys, "jarnik:pow:3:7")[4]
+    m = int(row[1])
+    assert row[0] == "6" and m > 2**53
+    # floor(log2 m) would print 255
+    assert float(row[3]) == pytest.approx(3 * math.log2(m), abs=1e-9)
+    assert abs(float(row[3]) - 256.87) < 0.01
 
 
 def test_cf_construct_rejects_plain_theta(capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.integrate import quad
 
 from divcorr.divisor import (TWO_GAMMA_MINUS_1, delta, mean_square, sieve_tau,
                              summatory_D, summatory_D_many, tong_ratio_oracle)
+from divcorr.errors import ResourceLimit
 
 
 def tau_brute(n: int) -> int:
@@ -45,6 +48,111 @@ def test_tau_multiplicative(a, b):
         return
     t = sieve_tau(a * b)
     assert t.tau(a * b) == t.tau(a) * t.tau(b)
+
+
+def harmonic_sieve(limit: int) -> np.ndarray:
+    """The earlier sieve_tau: one slice update per k <= limit/2."""
+    counts = np.zeros(limit + 1, dtype=np.int32)
+    half = limit // 2
+    for k in range(1, half + 1):
+        counts[k::k] += 1
+    counts[half + 1:] += 1
+    counts[0] = 0
+    return counts
+
+
+# squares and their neighbours are where the pair sieve subtracts the
+# doubled divisor k = n/k and where isqrt(limit) steps
+_SIEVE_LIMITS = st.one_of(
+    st.integers(1, 5000),
+    st.builds(lambda k, d: min(max(k * k + d, 1), 5000),
+              st.integers(1, 71), st.sampled_from([-1, 0, 1])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SIEVE_LIMITS)
+def test_pair_sieve_matches_harmonic_sieve(limit):
+    t = sieve_tau(limit)
+    assert t.counts.dtype == np.int32
+    assert not t.counts.flags.writeable
+    assert np.array_equal(t.counts, harmonic_sieve(limit))
+
+
+def test_sieve_2e6_bytes_are_pinned(big_table):
+    # recorded from the harmonic sieve
+    assert hashlib.sha256(big_table.counts.tobytes()).hexdigest() == (
+        "8f20759231a6072b7464c072fc5f6d05cba6740de4805c41272c4c81c36f273d")
+
+
+def hyperbola_loop(x: int) -> int:
+    """The earlier summatory_D: the hyperbola sum as a Python loop."""
+    r = math.isqrt(x)
+    s = 0
+    for k in range(1, r + 1):
+        s += x // k
+    return 2 * s - r * r
+
+
+@pytest.mark.parametrize("x", [
+    *(k * k + d for k in (1, 2, 3, 10, 1023, 1024, 10**5) for d in (-1, 0, 1)),
+    10**12, 2**46 - 1, 2**46])
+def test_blocked_hyperbola_matches_loop(x):
+    # at 2^46 the first block holds 2^62 // 2^46 = 2^16 terms, then 2^20
+    assert summatory_D(x) == hyperbola_loop(x)
+
+
+def test_blocked_hyperbola_around_2_53():
+    # the loop oracle is too slow here; D(n) - D(n - 1) = tau(n) instead,
+    # from factorizations into primes (checked by Miller-Rabin)
+    def is_prime(n):
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+            if a % n == 0:
+                continue
+            y = pow(a, d, n)
+            if y in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                y = y * y % n
+                if y == n - 1:
+                    break
+            else:
+                return False
+        return True
+
+    factorizations = {
+        2**53 - 1: {6361: 1, 69431: 1, 20394401: 1},
+        2**53: {2: 53},
+        2**53 + 1: {3: 1, 107: 1, 28059810762433: 1},
+    }
+    d = {n: summatory_D(n) for n in (2**53 - 2, *factorizations)}
+    for n, f in factorizations.items():
+        assert math.prod(p**e for p, e in f.items()) == n
+        assert all(is_prime(p) for p in f)
+        assert d[n] - d[n - 1] == math.prod(e + 1 for e in f.values())
+
+
+def test_summatory_caps_raise_before_any_work(monkeypatch):
+    def no_arange(*args, **kwargs):
+        raise AssertionError("summatory_D started its blocks")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    with pytest.raises(ResourceLimit) as e:
+        summatory_D(2**63)
+    assert e.value.suggested_cap == 2**63 - 1
+    monkeypatch.undo()
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit) as e:
+            summatory_D_many(np.array([0, 5, 2**44]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e.value.suggested_cap == 2**44 - 1
+    assert peak < 2**16  # a 2^22-wide int64 row would be 32 MB
 
 
 def test_summatory_examples():
