@@ -98,19 +98,13 @@ def _psi_target(psi, m: int, m_next: int) -> tuple[float, bool]:
     """(log2 psi(m), whether m_next >= psi(m)) for a row of the Jarnik table.
 
     The two sides of a constructed row agree to far below float resolution,
-    and psi.log2 reads floor(log2 m) above 2^53.  psi is increasing, so
-    log2 psi(m) lies between psi.log2 at the powers of two around m; with
-    log2(m_next) outside that bracket (widened by a bit for rounding) the
-    floats decide.  Inside it, a family with an exact pair psi(m) = P/Q
-    decides by m_next * Q >= P, and P has about as many bits as m_next.
+    so a family with an exact pair psi(m) = P/Q decides by m_next * Q >= P.
     """
-    l2n, l2p = math.log2(m_next), psi.log2(m)
-    b = m.bit_length()
-    if psi.log2(1 << (b - 1)) - 1 <= l2n <= psi.log2(1 << b) + 1:
-        pq = psi.exact_pair(m)
-        if pq is not None:
-            return log2_ratio(*pq), m_next * pq[1] >= pq[0]
-    return l2p, l2n >= l2p
+    pq = psi.exact_pair(m)
+    if pq is not None:
+        return log2_ratio(*pq), m_next * pq[1] >= pq[0]
+    l2p = psi.log2(m)
+    return l2p, math.log2(m_next) >= l2p
 
 
 def cmd_cf(cfg: RunConfig, args) -> int:
