@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,8 +26,13 @@ from .voronoi import SpectralParams, SpectralReport, spectral_j
 #: breakpoints n ~ m*theta would otherwise create degenerate slivers)
 _MERGE_TOL = 1e-12
 
+#: time budget of one sweep, in pieces: the sweep streams its pieces in
+#: O(_CHUNK) memory, so this caps run time, not memory (the tau table up to
+#: theta * X is the one array that grows with X)
 _MAX_PIECES = 60_000_000
 
+#: pieces per integration chunk; chunk sums are reduced in index order, so
+#: the chunk boundaries (global multiples of _CHUNK) fix the output bits
 _CHUNK = 1 << 18
 
 #: samples with |I| below this multiple of X^{3/2} are dropped from fits
@@ -60,11 +66,89 @@ def _as_theta(theta) -> Theta:
     return theta if isinstance(theta, Theta) else theta_parse(theta)
 
 
+def _first_n_at_or_above(v: int, th: float, n_lo: int, n_hi: int) -> int:
+    """Smallest n in [n_lo, n_hi] with float64(n) / th >= v, else n_hi + 1.
+    float64(n) / th is non-decreasing in n, so a start near v * th walks
+    only a step or two."""
+    n = min(max(math.floor(v * th), n_lo), n_hi + 1)
+    while n > n_lo and (n - 1) / th >= v:
+        n -= 1
+    while n <= n_hi and n / th < v:
+        n += 1
+    return n
+
+
+def _breakpoint_windows(th: float, Xmax: float, grid: np.ndarray):
+    """The sorted breakpoints of [1, Xmax], one value window [a, a + W) at a
+    time, with W about _CHUNK / (1 + th) so a window holds about _CHUNK.
+
+    Yields (vals, kinds, grid_pos) per window.  The breakpoints are 1.0 (in
+    the first window), the integers 2..floor(Xmax), n / th for
+    floor(th) < n <= floor(th Xmax), and the grid, in that kind order and
+    then argsorted stably: kinds 2 (1.0, grid), 0 (integer), 1 (n / th).
+    All equal values fall in one window, so the windows concatenate to the
+    global stable sort.  Values above Xmax + _MERGE_TOL are dropped.
+    grid_pos is the index in vals of the first breakpoint equal to each of
+    the window's grid values.
+    """
+    width = max(1, int(_CHUNK / (1 + th)))
+    i_hi = math.floor(Xmax)
+    n_lo, n_hi = math.floor(th) + 1, math.floor(th * Xmax)
+    top = Xmax + _MERGE_TOL
+    n, g = n_lo, 0
+    a = 1
+    while a <= top:
+        b = a + width
+        n_end = _first_n_at_or_above(b, th, n, n_hi)
+        g_end = int(np.searchsorted(grid, b, side="left"))
+        ints = np.arange(max(a, 2), min(b, i_hi + 1), dtype=np.float64)
+        tbps = np.arange(n, n_end, dtype=np.float64) / th
+        pts = grid[g:g_end]
+        head = [1.0] if a == 1 else []
+        vals = np.concatenate((head, ints, tbps, pts))
+        kinds = np.concatenate((
+            np.full(len(head), 2, dtype=np.int8),
+            np.zeros(len(ints), dtype=np.int8),
+            np.ones(len(tbps), dtype=np.int8),
+            np.full(len(pts), 2, dtype=np.int8),
+        ))
+        order = np.argsort(vals, kind="stable")
+        vals, kinds = vals[order], kinds[order]
+        if b > top:
+            keep = vals <= top
+            vals, kinds = vals[keep], kinds[keep]
+        yield vals, kinds, np.searchsorted(vals, pts, side="left")
+        a, n, g = b, n_end, g_end
+
+
+def _bounded_map(ex: ThreadPoolExecutor, fn, items, limit: int):
+    """fn(*item) for each item, in order, with at most `limit` in flight."""
+    pending = deque()
+    for item in items:
+        if len(pending) == limit:
+            yield pending.popleft().result()
+        pending.append(ex.submit(fn, *item))
+    while pending:
+        yield pending.popleft().result()
+
+
 def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
            threads: int = 1) -> list[CorrelationResult]:
-    """One incremental pass over [1, max(xs)] returning I at every requested
+    """One streaming pass over [1, max(xs)] returning I at every requested
     X.  Breakpoints: integers (where Delta(x) jumps), n/theta (where
-    Delta(theta x) jumps), and the requested prefix ends."""
+    Delta(theta x) jumps), and the requested prefix ends.
+
+    The breakpoints come in value windows (_breakpoint_windows) and are cut
+    into chunks of _CHUNK pieces at global piece-index multiples of _CHUNK,
+    with the right endpoint and both D counters carried from one chunk into
+    the next.  Each chunk is integrated by gauss8_pieces, reduced to its
+    fsum and, for each grid X inside it, the fsum of its pieces before X;
+    then it is dropped.  I(X) is the fsum of the earlier chunk sums plus
+    that partial sum.  Memory is O(threads * _CHUNK) besides the table, and
+    the chunk boundaries, hence the output bits, do not depend on the window
+    width or on `threads` (with threads > 1, chunks run in a pool, at most
+    `threads` at once).
+    """
     th = float(theta)
     if th <= 0:
         raise ValueError("theta must be positive")
@@ -84,68 +168,65 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
     if table is None or table.limit < need:
         table = sieve_tau(need)
     cd = table.cumulative()
-
-    ints = np.arange(2.0, math.floor(Xmax) + 1.0)
-    n_lo = int(math.floor(th)) + 1
-    n_hi = int(math.floor(th * Xmax))
-    tbps = np.arange(n_lo, n_hi + 1, dtype=np.float64) / th
     grid = np.asarray(xs_sorted, dtype=np.float64)
+    grid_at = []  # global index of each grid X's first equal breakpoint
 
-    vals = np.concatenate(([1.0], ints, tbps, grid))
-    kinds = np.concatenate((
-        np.full(1, 2, dtype=np.int8),
-        np.zeros(len(ints), dtype=np.int8),
-        np.ones(len(tbps), dtype=np.int8),
-        np.full(len(grid), 2, dtype=np.int8),
-    ))
-    order = np.argsort(vals, kind="stable")
-    vals, kinds = vals[order], kinds[order]
-    keep = vals <= Xmax + _MERGE_TOL
-    vals, kinds = vals[keep], kinds[keep]
+    def offsets(start):
+        return [i - start for i in grid_at if start < i < start + _CHUNK]
 
-    # counters *after* each breakpoint, exact by construction
-    d1_idx = 1 + np.cumsum(kinds == 0)
-    d2_idx = int(math.floor(th)) + np.cumsum(kinds == 1)
+    def chunks():
+        """(start, vals, i1, i2, offs) of each chunk: its _CHUNK + 1
+        breakpoints from global index start, the D(x) and D(theta x) indices
+        after each of them, and the offsets of the grid X inside it."""
+        start = 0
+        vals = np.empty(0)
+        i1 = i2 = np.empty(0, dtype=np.int64)
+        k1, k2 = 1, math.floor(th)
+        for wv, wk, pos in _breakpoint_windows(th, Xmax, grid):
+            grid_at.extend((start + len(vals) + pos).tolist())
+            is_int, is_tbp = wk == 0, wk == 1
+            vals = np.concatenate((vals, wv))
+            i1 = np.concatenate((i1, k1 + np.cumsum(is_int)))
+            i2 = np.concatenate((i2, k2 + np.cumsum(is_tbp)))
+            k1 += int(np.count_nonzero(is_int))
+            k2 += int(np.count_nonzero(is_tbp))
+            while len(vals) > _CHUNK:
+                stop = _CHUNK + 1
+                yield start, vals[:stop], i1[:stop], i2[:stop], offsets(start)
+                start += _CHUNK
+                vals, i1, i2 = vals[_CHUNK:], i1[_CHUNK:], i2[_CHUNK:]
+        if len(vals) > 1:
+            yield start, vals, i1, i2, offsets(start)
 
-    left, right = vals[:-1], vals[1:]
-    width = right - left
-    live = width > _MERGE_TOL
-    d1 = cd[d1_idx[:-1]].astype(np.float64)
-    d2 = cd[d2_idx[:-1]].astype(np.float64)
-    mid = 0.5 * (left + right)
-    half = 0.5 * width
-
-    n_pieces = len(left)
-    starts = list(range(0, n_pieces, _CHUNK))
-
-    def chunk_integrals(start):
-        stop = min(start + _CHUNK, n_pieces)
-        piece = gauss8_pieces(mid[start:stop], half[start:stop],
-                              d1[start:stop], d2[start:stop], th)
-        piece[~live[start:stop]] = 0.0
-        return piece
+    def integrate(start, vals, i1, i2, offs):
+        left, right = vals[:-1], vals[1:]
+        width = right - left
+        piece = gauss8_pieces(0.5 * (left + right), 0.5 * width,
+                              cd[i1[:-1]].astype(np.float64),
+                              cd[i2[:-1]].astype(np.float64), th)
+        piece[~(width > _MERGE_TOL)] = 0.0
+        # a memoryview iterates as Python floats without a list of them
+        return (math.fsum(memoryview(piece)),
+                {start + off: math.fsum(memoryview(piece[:off]))
+                 for off in offs})
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(chunk_integrals, starts))
+            done = list(_bounded_map(ex, integrate, chunks(), threads))
     else:
-        chunks = [chunk_integrals(s) for s in starts]
+        done = [integrate(*item) for item in chunks()]
+    chunk_totals = [total for total, _ in done]
+    # grid index -> fsum of its chunk's pieces before it
+    partial = {i: p for _, parts in done for i, p in parts.items()}
 
-    # prefix sums: exact order, independent of threading
-    chunk_totals = [math.fsum(c.tolist()) for c in chunks]
     results = []
-    grid_set = {}
-    for x in xs_sorted:
-        i = int(np.searchsorted(vals, x, side="left"))
-        grid_set[x] = i  # vals[i] == x by construction
-    for x, i in grid_set.items():
+    for x, i in zip(xs_sorted, grid_at):
         ci, off = divmod(i, _CHUNK)
         total = math.fsum(chunk_totals[:ci])
         if off:
-            total += math.fsum(chunks[ci][:off].tolist())
+            total += partial[i]
         results.append(CorrelationResult(theta=theta, X=x, I=total,
                                          method="exact", breakpoints_used=i))
-    results.sort(key=lambda r: r.X)
     return results
 
 

@@ -26,6 +26,9 @@ _SUMMATORY_X_CAP = 2**63 - 1
 _SUMMATORY_MANY_CAP = 2**44 - 1
 #: Entries per int64 block of the hyperbola sum (8 MB).
 _HYPERBOLA_BLOCK = 1 << 20
+#: Pieces per block of the Gauss-8 kernel's temporaries (4096 x 8 doubles,
+#: 256 KB each).
+_GAUSS_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -149,14 +152,23 @@ def gauss8_pieces(mid: np.ndarray, half: np.ndarray, d1: np.ndarray,
                   theta: float = 1.0) -> np.ndarray:
     """8-point Gauss integral of Delta(x) Delta(theta x) over each piece
     [mid - half, mid + half] on which D(x) = d1 and D(theta x) = d2 are
-    constant.  With d2 omitted the integrand is Delta(x)^2."""
-    xs = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-    f1 = _delta_at(d1, xs)
-    if d2 is None:
-        return half * ((f1 * f1) @ _GAUSS_WEIGHTS)
-    tn = theta * xs
-    f2 = _delta_at(d2, tn)
-    return half * ((f1 * f2) @ _GAUSS_WEIGHTS)
+    constant.  With d2 omitted the integrand is Delta(x)^2.
+
+    The nodes, logs and integrand products are computed _GAUSS_BLOCK pieces
+    at a time into one (n, 8) buffer, so the temporaries stay in cache.  The
+    weighted sum over the nodes is then one `prod @ _GAUSS_WEIGHTS` over the
+    whole buffer: the BLAS gemv behind it may round a row differently
+    depending on where the row sits in the matrix, so one gemv per call is
+    what makes the result independent of the block size.
+    """
+    prod = np.empty((len(mid), len(_GAUSS_NODES)))
+    for s in range(0, len(mid), _GAUSS_BLOCK):
+        e = s + _GAUSS_BLOCK
+        xs = mid[s:e, None] + half[s:e, None] * _GAUSS_NODES[None, :]
+        f1 = _delta_at(d1[s:e], xs)
+        f2 = f1 if d2 is None else _delta_at(d2[s:e], theta * xs)
+        np.multiply(f1, f2, out=prod[s:e])
+    return half * (prod @ _GAUSS_WEIGHTS)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from divcorr import correlation
 from divcorr.correlation import (compare_spectral, correlate_exact,
                                  correlate_grid, fit_exponent,
                                  normalized_ratio, result_csv_row,
                                  results_json, CorrelationResult)
-from divcorr.divisor import TWO_GAMMA_MINUS_1, mean_square, summatory_D
+from divcorr.divisor import (TWO_GAMMA_MINUS_1, gauss8_pieces, mean_square,
+                             summatory_D)
 from divcorr.diophantine import theta_parse
 from divcorr.errors import ResourceLimit
 from divcorr.realfield import psi_parse
@@ -194,3 +197,115 @@ def test_irrational_ratio_decorrelates(big_table):
     lo = max(abs(r.ratio) for r in rs if r.X <= 1e4)
     hi = max(abs(r.ratio) for r in rs if r.X >= 1e5)
     assert hi < lo
+
+
+# ---------------------------------------------------------------------------
+# the streaming sweep against the materialising one it replaced
+# ---------------------------------------------------------------------------
+
+
+def materialised_breakpoints(th: float, xs: list[float]):
+    """Every breakpoint of [1, max(xs)] at once, globally stable-sorted."""
+    xs_sorted = sorted(set(float(x) for x in xs))
+    Xmax = xs_sorted[-1]
+    ints = np.arange(2.0, math.floor(Xmax) + 1.0)
+    n_lo = int(math.floor(th)) + 1
+    n_hi = int(math.floor(th * Xmax))
+    tbps = np.arange(n_lo, n_hi + 1, dtype=np.float64) / th
+    grid = np.asarray(xs_sorted, dtype=np.float64)
+    vals = np.concatenate(([1.0], ints, tbps, grid))
+    kinds = np.concatenate((
+        np.full(1, 2, dtype=np.int8),
+        np.zeros(len(ints), dtype=np.int8),
+        np.ones(len(tbps), dtype=np.int8),
+        np.full(len(grid), 2, dtype=np.int8),
+    ))
+    order = np.argsort(vals, kind="stable")
+    vals, kinds = vals[order], kinds[order]
+    keep = vals <= Xmax + correlation._MERGE_TOL
+    return vals[keep], kinds[keep]
+
+
+def materialised_sweep(th: float, xs: list[float], table, chunk: int):
+    """(X, I, breakpoints_used) per grid X, as the sweep computed them
+    before it streamed: all pieces in memory, chunks of `chunk` pieces."""
+    vals, kinds = materialised_breakpoints(th, xs)
+    cd = table.cumulative()
+    d1_idx = 1 + np.cumsum(kinds == 0)
+    d2_idx = int(math.floor(th)) + np.cumsum(kinds == 1)
+    left, right = vals[:-1], vals[1:]
+    width = right - left
+    live = width > correlation._MERGE_TOL
+    d1 = cd[d1_idx[:-1]].astype(np.float64)
+    d2 = cd[d2_idx[:-1]].astype(np.float64)
+    mid = 0.5 * (left + right)
+    half = 0.5 * width
+    n_pieces = len(left)
+    chunks = []
+    for start in range(0, n_pieces, chunk):
+        stop = min(start + chunk, n_pieces)
+        piece = gauss8_pieces(mid[start:stop], half[start:stop],
+                              d1[start:stop], d2[start:stop], th)
+        piece[~live[start:stop]] = 0.0
+        chunks.append(piece)
+    chunk_totals = [math.fsum(c.tolist()) for c in chunks]
+    out = []
+    for x in sorted(set(float(x) for x in xs)):
+        i = int(np.searchsorted(vals, x, side="left"))
+        ci, off = divmod(i, chunk)
+        total = math.fsum(chunk_totals[:ci])
+        if off:
+            total += math.fsum(chunks[ci][:off].tolist())
+        out.append((x, total, i))
+    return out
+
+
+SWEEP_THETAS = ["rat:1/1", "rat:2/1", "rat:3/2", "dec:0.8125152587890625",
+                "surd:2", "surd:3", "golden", "taubeta:2/1:4"]
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 1000, correlation._CHUNK])
+@pytest.mark.parametrize("spec", SWEEP_THETAS)
+def test_streaming_sweep_matches_materialised(spec, chunk, monkeypatch,
+                                              big_table):
+    theta = theta_parse(spec)
+    th = float(theta)
+    # about 6 chunks of pieces (2.2 at the default size), so that many
+    # windows and counter carries run; integer endpoint, duplicate points,
+    # and 7.5, which is n/theta for rat:2/1
+    chunks = 6 if chunk < correlation._CHUNK else 2.2
+    Xmax = float(max(20, math.ceil(chunks * chunk / (1 + th))))
+    xs = [1.0, 2.0, 7.5, 7.5, Xmax / 3, Xmax / 3, Xmax - 1, Xmax]
+    # a grid X whose first equal breakpoint has a piece index that is a
+    # multiple of the chunk size (an empty partial sum); where a duplicate
+    # breakpoint sits on every such index, one more point shifts them
+    for extra in ([], [1.5]):
+        vals, _ = materialised_breakpoints(th, xs + extra)
+        j = next((j for j in range(chunk, len(vals), chunk)
+                  if vals[j - 1] < vals[j] <= Xmax), None)
+        if j is not None:
+            xs += extra + [float(vals[j])]
+            break
+    assert j is not None
+    want = materialised_sweep(th, xs, big_table, chunk)
+    assert (vals[j], j) in [(x, i) for x, _, i in want]
+    monkeypatch.setattr(correlation, "_CHUNK", chunk)
+    # with small chunks many run at once: more threads than cores too
+    for threads in ((1, 2, 4) if chunk < 1000 else (1,)):
+        got = correlation._sweep(theta, xs, big_table, threads)
+        assert [(r.X, r.I, r.breakpoints_used) for r in got] == want
+
+
+def test_sweep_memory_does_not_grow_with_X(big_table):
+    # the sweep holds O(_CHUNK) pieces, not all of them: 4x the range may
+    # not raise the traced peak by more than a quarter
+    big_table.cumulative()
+    peaks = []
+    for X in (2e5, 8e5):
+        tracemalloc.start()
+        try:
+            correlate_exact("surd:2", X, big_table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]

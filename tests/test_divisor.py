@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from divcorr.divisor import (TWO_GAMMA_MINUS_1, delta, mean_square, sieve_tau,
-                             summatory_D, summatory_D_many, tong_ratio_oracle)
+from divcorr.divisor import (TWO_GAMMA_MINUS_1, delta, gauss8_pieces,
+                             mean_square, sieve_tau, summatory_D,
+                             summatory_D_many, tong_ratio_oracle)
 from divcorr.errors import ResourceLimit
 
 
@@ -153,6 +154,40 @@ def test_summatory_caps_raise_before_any_work(monkeypatch):
         tracemalloc.stop()
     assert e.value.suggested_cap == 2**44 - 1
     assert peak < 2**16  # a 2^22-wide int64 row would be 32 MB
+
+
+def gauss8_one_shot(mid, half, d1, d2=None, theta=1.0):
+    """The Gauss-8 kernel before it was blocked: every temporary (n, 8)."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+
+    def delta_at(d, x):
+        return d[:, None] - x * np.log(x) - TWO_GAMMA_MINUS_1 * x
+
+    xs = mid[:, None] + half[:, None] * nodes[None, :]
+    f1 = delta_at(d1, xs)
+    if d2 is None:
+        return half * ((f1 * f1) @ weights)
+    tn = theta * xs
+    f2 = delta_at(d2, tn)
+    return half * ((f1 * f2) @ weights)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 12293])
+@pytest.mark.parametrize("with_d2", [False, True])
+def test_blocked_gauss8_matches_one_shot(n, with_d2):
+    # pieces as the sweep makes them: [left, right] in [1, 1e6], widths up
+    # to 1 with some of 0, D at the left end
+    rng = np.random.default_rng(n)
+    left = rng.uniform(1.0, 1e6, n)
+    width = rng.uniform(0.0, 1.0, n) * (rng.random(n) > 0.1)
+    mid, half = 0.5 * (2 * left + width), 0.5 * width
+    d1 = np.floor(left * np.log(left) + 0.15 * left)
+    theta = 2**0.5
+    d2 = np.floor(theta * d1) if with_d2 else None
+    got = gauss8_pieces(mid, half, d1, d2, theta)
+    want = gauss8_one_shot(mid, half, d1, d2, theta)
+    assert got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_summatory_examples():
