@@ -11,7 +11,7 @@ costs nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -651,7 +651,12 @@ def legendre_is_convergent(theta: Theta, n: int, m: int) -> bool:
         raise ValueError("m must be positive")
     _require_irrational(theta, "legendre_is_convergent")
     g = math.gcd(abs(n), m)
-    n, m = n // g, m // g
+    return _legendre_holds(theta, n // g, m // g)
+
+
+def _legendre_holds(theta: Theta, n: int, m: int) -> bool:
+    """Certified |n - m*theta| < 1/(2m) for m >= 1, as given (no reduction).
+    Escalates the enclosure until the radius is a bit below the gap."""
     bound = Fraction(1, 2 * m)
     for enc in _escalating_enclosures(theta, max(64, 2 * m.bit_length() + 80)):
         diff = abs(Fraction(n) - m * enc.anchor)
@@ -665,64 +670,47 @@ def legendre_is_convergent(theta: Theta, n: int, m: int) -> bool:
     raise PrecisionExhausted("Legendre test not resolved at available precision")
 
 
-def _legendre_hits_surd(d: int, M: int) -> list[int]:
-    """All m <= M with ||m sqrt(d)|| < 1/(2m), by exact integer arithmetic."""
-    hits = []
-    for m in range(1, M + 1):
-        A = d * m * m
-        k = math.isqrt(A)
-        for n in (k, k + 1):
-            if n == 0:
-                continue
-            # |n - m sqrt d| < 1/(2m)  <=>  2m|n^2 - A| < n + m sqrt d
-            t = 2 * m * abs(n * n - A) - n
-            if t < 0 or t * t < A:
-                hits.append(m)
-                break
-    return hits
-
-
-def _legendre_hits_golden(M: int) -> list[int]:
-    """All m <= M with ||m phi|| < 1/(2m); uses 2*m*phi = m + m*sqrt(5)."""
-    hits = []
-    for m in range(1, M + 1):
-        A = 5 * m * m
-        k = math.isqrt(A)
-        # j = 2n - m ranges over integers with j == m (mod 2)
-        cands = [j for j in (k - 1, k, k + 1, k + 2) if j > 0 and (j - m) % 2 == 0]
-        for j in cands:
-            # |m sqrt5 - j| < 1/m  <=>  m|j^2 - A| < j + m sqrt5
-            t = m * abs(j * j - A) - j
-            if t < 0 or t * t < A:
-                hits.append(m)
-                break
-    return hits
-
-
 def legendre_hits(theta: Theta, M: int) -> list[int]:
-    """The set {m <= M : ||m theta|| < 1/(2m)}, exactly.
+    """The set {m <= M : ||m theta|| < 1/(2m)}, exactly, in O(K + hits)
+    certified comparisons for the K convergents with denominator <= M.
 
-    Fast integer kernels for quadratic irrationals; certified enclosure
-    arithmetic otherwise.
+    By Legendre's theorem a hit m reduces to a convergent p_k/q_k, m = g q_k,
+    and then ||m theta|| = g |p_k - q_k theta|.  So the hits are the
+    g q_k <= M with |g p_k - g q_k theta| < 1/(2 g q_k); that condition is
+    monotone in g, so g counts up from 1 to the first miss.
+
+    When the certified expansion stops at q_K with q_K + q_{K-1} <= M (an
+    unknown convergent has q_{K+1} >= q_K + q_{K-1}), or a candidate does
+    not resolve, raises PrecisionExhausted: last_certified is the largest m
+    below both, and `partial` holds the hits up to it.
     """
     _require_irrational(theta, "legendre_hits")
-    if isinstance(theta, SurdTheta):
-        return _legendre_hits_surd(theta.d, M)
-    if isinstance(theta, GoldenTheta):
-        return _legendre_hits_golden(M)
-    bits = max(64, 2 * M.bit_length() + 96)
-    enc = theta.best_enclosure(bits)
-    hits = []
-    for m in range(1, M + 1):
-        d, err = _dist_from_enclosure(enc, m)
-        bound = Fraction(1, 2 * m)
-        gap = abs(d - bound)
-        if err != -_INF and (gap == 0 or err > log2_fraction(gap) - 1):
-            raise PrecisionExhausted(f"Legendre scan unresolved at m={m}",
-                                     last_certified=m - 1, partial=hits)
-        if d < bound:
-            hits.append(m)
-    return hits
+    K = 1
+    while fibonacci(K + 1) <= M:  # q_K >= F_{K+1}
+        K += 1
+    try:
+        cf = cf_expand(theta, K)
+    except PrecisionExhausted as e:
+        cf = e.partial if isinstance(e.partial, ContinuedFraction) else None
+    convs = convergents(cf) if cf is not None else []
+    limit = min(M, convs[-1].m + convs[-2].m - 1) if len(convs) > 1 else 0
+    hits = set()
+    for c in convs:
+        g = 1
+        while g * c.m <= limit:
+            try:
+                if not _legendre_holds(theta, g * c.n, g * c.m):
+                    break
+            except PrecisionExhausted:
+                limit = g * c.m - 1
+                break
+            hits.add(g * c.m)
+            g += 1
+    out = sorted(m for m in hits if m <= limit)
+    if limit < M:
+        raise PrecisionExhausted(f"Legendre hits certified only to m={limit}",
+                                 last_certified=limit, partial=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -803,9 +791,16 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int,
 
     Hybrid strategy: below the crossover m* (the first m with psi(m) >= 2M)
     every m is tested; at and beyond m*, any hit has
-    ||m theta|| < 1/(2M) <= 1/(2m), so by Legendre's criterion its reduced
-    fraction sits at a convergent - only convergent denominators and their
-    small multiples need checking there.
+    ||m theta|| < 1/(2M) <= 1/(2m), so by Legendre's theorem it is g q_k for
+    a convergent denominator q_k with g ||q_k theta|| < 1/2 (the route of
+    legendre_hits).  Only those multiples are tested there, and each takes
+    its distance from the convergent's resolved one: while g d <= 1/2,
+    ||g q_k theta|| is g d with radius g 2^err, the same relative radius.
+
+    certified_to is M unless a distance or comparison does not resolve at
+    some m (then at most m - 1), or m* <= M and the certified expansion
+    ends at a convergent q_K <= M (then at most q_K; m* - 1 when no
+    quotient is certified).
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -830,15 +825,14 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int,
     events = {}
     certified_to = M
 
-    def add_event(m, is_conv=False):
+    def add_event(m, is_conv=False, dist=None):
         nonlocal certified_to
         if m in events:
             if is_conv and not events[m].is_convergent:
-                e = events[m]
-                events[m] = ApproximationEvent(e.m, e.dist, e.threshold, e.hit, True)
+                events[m] = replace(events[m], is_convergent=True)
             return
         try:
-            d, err = _resolve_distance(theta, m)
+            d, err = dist or _resolve_distance(theta, m)
             hit, dm, thr = _compare_dist_threshold(d, err, psi, m)
         except PrecisionExhausted:
             certified_to = min(certified_to, m - 1)
@@ -856,24 +850,26 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int,
     except PrecisionExhausted as e:
         cf = e.partial if isinstance(e.partial, ContinuedFraction) else None
     if cf is not None:
-        convs = [c for c in convergents(cf) if 1 <= c.m <= M]
+        convs = convergents(cf)
         for c in convs:
-            add_event(c.m, is_conv=True)
-            if m_star > M:
+            if not 1 <= c.m <= M:
                 continue
             try:
-                d, _ = _resolve_distance(theta, c.m)
+                d, err = _resolve_distance(theta, c.m)
             except PrecisionExhausted:
-                certified_to = min(certified_to, M if c.m <= m_star else c.m - 1)
+                certified_to = min(certified_to, c.m - 1)
+                continue
+            add_event(c.m, True, (d, err))
+            if m_star > M:
                 continue
             # a fast-region hit at g*m_k forces g*||m_k theta|| < 1/2
             g_cap = min(M // c.m, int(Fraction(1, 2) / d) + 1)
-            for g in range(2, g_cap + 1):
-                if g * c.m >= m_star:
-                    add_event(g * c.m)
+            for g in range(max(2, -(-m_star // c.m)), g_cap + 1):
+                add_event(g * c.m, dist=(g * d, err + math.log2(g))
+                          if 2 * g * d <= 1 else None)
         # did the convergent list actually reach past M?
-        if convergents(cf)[-1].m <= M and m_star <= M:
-            certified_to = min(certified_to, convergents(cf)[-1].m)
+        if convs[-1].m <= M and m_star <= M:
+            certified_to = min(certified_to, convs[-1].m)
     elif m_star <= M:
         certified_to = min(certified_to, m_star - 1)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divcorr import diophantine as dio
@@ -260,6 +260,172 @@ def test_legendre_hits_are_convergent_denominators():
         assert set(hits) <= dens
 
 
+# Oracles: the O(M) routes that legendre_hits replaced.  They decide every
+# m <= M on its own, so they stay independent of the convergent route.
+
+
+def oracle_hits_surd(d: int, M: int) -> list[int]:
+    """All m <= M with ||m sqrt(d)|| < 1/(2m), by exact integer arithmetic."""
+    hits = []
+    for m in range(1, M + 1):
+        A = d * m * m
+        k = math.isqrt(A)
+        for n in (k, k + 1):
+            if n == 0:
+                continue
+            # |n - m sqrt d| < 1/(2m)  <=>  2m|n^2 - A| < n + m sqrt d
+            t = 2 * m * abs(n * n - A) - n
+            if t < 0 or t * t < A:
+                hits.append(m)
+                break
+    return hits
+
+
+def oracle_hits_golden(M: int) -> list[int]:
+    """All m <= M with ||m phi|| < 1/(2m); uses 2*m*phi = m + m*sqrt(5)."""
+    hits = []
+    for m in range(1, M + 1):
+        A = 5 * m * m
+        k = math.isqrt(A)
+        # j = 2n - m ranges over integers with j == m (mod 2)
+        cands = [j for j in (k - 1, k, k + 1, k + 2) if j > 0 and (j - m) % 2 == 0]
+        for j in cands:
+            # |m sqrt5 - j| < 1/m  <=>  m|j^2 - A| < j + m sqrt5
+            t = m * abs(j * j - A) - j
+            if t < 0 or t * t < A:
+                hits.append(m)
+                break
+    return hits
+
+
+def oracle_hits_enclosure(theta, M: int) -> list[int]:
+    """Every m <= M against one enclosure; raises PrecisionExhausted at the
+    first m it cannot decide, with the hits below it."""
+    bits = max(64, 2 * M.bit_length() + 96)
+    enc = theta.best_enclosure(bits)
+    hits = []
+    for m in range(1, M + 1):
+        d, err = dio._dist_from_enclosure(enc, m)
+        bound = Fraction(1, 2 * m)
+        gap = abs(d - bound)
+        if err != -math.inf and (gap == 0 or err > log2_fraction(gap) - 1):
+            raise PrecisionExhausted(f"Legendre scan unresolved at m={m}",
+                                     last_certified=m - 1, partial=hits)
+        if d < bound:
+            hits.append(m)
+    return hits
+
+
+def _hits_or_partial(route, *args):
+    """(hits, last m they cover) of a route that may stop early."""
+    try:
+        return route(*args), args[-1]
+    except PrecisionExhausted as e:
+        return e.partial, e.last_certified
+
+
+def _cf_literal(draw, quotients, max_den=None):
+    """A cf: literal of a drawn a0 and `quotients`, cut before the first
+    convergent denominator above max_den."""
+    qs = [draw(st.integers(0, 5))]
+    m_prev, m = 0, 1
+    for a in quotients:
+        if max_den is not None and a * m + m_prev > max_den:
+            break
+        qs.append(a)
+        m_prev, m = m, a * m + m_prev
+    return qs
+
+
+@st.composite
+def _legendre_cases(draw):
+    """(theta, M, oracle of M) with data that reaches past M."""
+    M = draw(st.integers(1, 20000))
+    kind = draw(st.sampled_from(["surd", "surd", "golden", "taubeta", "cf"]))
+    if kind == "surd":
+        d = draw(st.integers(2, 500).filter(lambda d: math.isqrt(d) ** 2 != d))
+        return dio.SurdTheta(d), M, lambda M: oracle_hits_surd(d, M)
+    if kind == "golden":
+        return dio.GoldenTheta(), M, oracle_hits_golden
+    if kind == "taubeta":
+        theta = dio.theta_parse("taubeta:2/1:4")
+    else:
+        # 30 quotients put q_K above F_31 > 1.3e6
+        qs = _cf_literal(draw, draw(st.lists(st.integers(1, 60), min_size=30,
+                                             max_size=40)))
+        theta = dio.CFLiteralTheta(dio.ContinuedFraction(tuple(qs)))
+    return theta, M, lambda M: oracle_hits_enclosure(theta, M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_legendre_cases())
+def test_legendre_hits_match_oracles(case):
+    theta, M, oracle = case
+    new, new_to = _hits_or_partial(dio.legendre_hits, theta, M)
+    old, old_to = _hits_or_partial(oracle, M)
+    assert new_to >= old_to
+    assert [m for m in new if m <= old_to] == old
+    if not isinstance(theta, dio.CFLiteralTheta):
+        assert new_to == old_to == M
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_legendre_hits_short_literal_last_certified(data):
+    """A literal of 5-12 quotients whose data runs out below M: the
+    convergent route certifies at least as far as the O(M) loop, agrees
+    with it there, and its partial hits hold for any continuation."""
+    draw = data.draw
+    qs = _cf_literal(draw, draw(st.lists(st.one_of(st.integers(1, 3),
+                                                   st.integers(1, 40)),
+                                         min_size=11, max_size=11)),
+                     max_den=5000)
+    qs = qs[:draw(st.integers(5, 12))]
+    assume(len(qs) >= 5)
+    theta = dio.CFLiteralTheta(dio.ContinuedFraction(tuple(qs)))
+    convs = dio.convergents(theta.cf)
+    M = draw(st.integers(convs[-1].m + convs[-2].m, 10**6))
+    with pytest.raises(PrecisionExhausted) as ei:
+        dio.legendre_hits(theta, M)
+    new, new_to = ei.value.partial, ei.value.last_certified
+    assert new_to <= convs[-1].m + convs[-2].m - 1
+    old, old_to = _hits_or_partial(oracle_hits_enclosure, theta, M)
+    assert old_to < M and new_to >= old_to
+    assert [m for m in new if m <= old_to] == old
+    for tail in ([1] * 25, [draw(st.integers(2, 10**6))] + [2] * 20):
+        longer = dio.CFLiteralTheta(dio.ContinuedFraction(tuple(qs + tail)))
+        assert oracle_hits_enclosure(longer, new_to) == new
+
+
+def test_legendre_hits_at_2_32():
+    M = 2**32
+    fib = sorted({dio.fibonacci(k) for k in range(1, 60)
+                  if dio.fibonacci(k) <= M})
+    assert dio.legendre_hits(dio.GoldenTheta(), M) == fib
+    dens = [1, 2]
+    while 2 * dens[-1] + dens[-2] <= M:
+        dens.append(2 * dens[-1] + dens[-2])
+    assert dio.legendre_hits(dio.SurdTheta(2), M) == dens
+
+
+def test_legendre_hits_stop_below_an_unknown_convergent():
+    # jarnik:pow:2:4 is [0; 1, 1, 2, 5], with q_3 = 5 and q_4 = 27: an
+    # unbuilt convergent may sit at q_5 = 27 + 5 = 32
+    theta = dio.theta_parse("jarnik:pow:2:4")
+    assert dio.legendre_hits(theta, 31) == [1, 2, 5, 27]
+    assert oracle_hits_enclosure(theta, 31) == [1, 2, 5, 27]
+    with pytest.raises(PrecisionExhausted) as ei:
+        dio.legendre_hits(theta, 32)
+    assert ei.value.last_certified == 31
+    assert ei.value.partial == [1, 2, 5, 27]
+
+
+def test_legendre_hits_without_certified_quotients():
+    with pytest.raises(PrecisionExhausted) as ei:
+        dio.legendre_hits(_Unresolvable(cap=1000), 10)
+    assert ei.value.last_certified == 0 and ei.value.partial == []
+
+
 # --- theta parsing -----------------------------------------------------------
 
 
@@ -342,6 +508,26 @@ SCAN_DIGESTS = [
      "c01924639f1633a5cf57ec89b85c6c8a21f46df1188da3c52f9aba0fe3de42c1"),
     ("surd:2", "pow:3", 10**4,
      "fe96660edc7c2f8cba3efe8fad2b1b1beb0cc10625f7d336ec2b1e8d1b824634"),
+    # recorded before the multiples g*q_k of each convergent denominator
+    # took their distances from q_k's; these reach many such multiples
+    ("surd:2", "pow:1.5", 10**5,
+     "88237b5d58ec93375885a58444297d631d8b70d2cf4bba2dc2b24deb6b9418cb"),
+    ("surd:2", "pow:2", 10**5,
+     "4739d61fd0730cfadf83e61ad62a4bea05fc8a8b0819dbe18e0556e276a6a4f0"),
+    ("surd:2", "exp:1.1", 10**5,
+     "8cc5fe09ad3cd68fe4d17cda48fad123802e7a25cb0e0f0c0a719f1c22b12df2"),
+    ("golden", "pow:1.5", 10**5,
+     "f1a5123ec360cd8ae1c5a24c029d0f78714cdab877aff782d12685f7fa63ec6b"),
+    ("golden", "pow:2", 10**5,
+     "0e9e5cb7d19fc1700f116c2308eb61c5bec9c64af362008728a1e6eca2e2f5fe"),
+    ("golden", "exp:1.1", 10**5,
+     "2b1ee3c11d300701d241ab0239e2f8a7ae45e7e59f6b4e79c9215ab5caebc6c3"),
+    ("taubeta:2/1:4", "pow:1.5", 10**5,
+     "dbd25713ca66b11212b5fd78491726392495e6add4ebee948fbfefcb872dded2"),
+    ("taubeta:2/1:4", "pow:2", 10**5,
+     "083017a9d2ff7921716614bb01e3257ff1221b325b8c59d54b821ffe2e6b2eb4"),
+    ("taubeta:2/1:4", "exp:1.1", 10**5,
+     "e8dd67a741b362a75d9a0f5977e18389db827c2e03b1d73dca6e92812ae7c2f4"),
 ]
 
 
@@ -359,6 +545,7 @@ def _scan_digest(res) -> str:
 def test_scan_events_are_pinned(theta, psi, M, digest):
     res = dio.approximability_scan(dio.theta_parse(theta), psi_parse(psi), M)
     assert _scan_digest(res) == digest
+
 
 
 def test_scan_screen_leaves_few_exact_comparisons(monkeypatch):

@@ -233,12 +233,16 @@ _PSI_LOG2_CASES = [
     ("exp:1.000001", [2**40, 740000000000000]),
     ("exp:1099511627777/1099511627776", [2**40, 2**53]),
     ("exp:1.2345678901234567890", [2**31 + 1, 3500000000]),
-    ("pow:3", [1, 2, 10**4, 2**53]),
-    ("pow:5/2", [7, 2**50 + 1]),
-    ("pow:16777216", [2**53 - 1]),
+    # pow above 2**53 up to 2**256, including the Jarnik denominators
+    # m_6, m_7 of jarnik:pow:3:7
+    ("pow:3", [1, 2, 10**4, 2**53, 2**53 + 1, 59601394712394173339000731,
+               211723599072542785377729319366442939995427829921816290889198752331804918235791,
+               2**256 - 1, 2**256]),
+    ("pow:5/2", [7, 2**50 + 1, 2**100 + 7, 3**161]),
+    ("pow:16777216", [2**53 - 1, 2**60 - 1]),
     ("expexp", [1, 2, 10, 20]),
     ("scale:4/3:exp:3/2", [5, 2**20]),
-    ("scale:1/1000:pow:2", [1, 2**52 + 1]),
+    ("scale:1/1000:pow:2", [1, 2**52 + 1, 2**200 + 1]),
 ]
 
 
