@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -98,12 +99,20 @@ def _psi_target(psi, m: int, m_next: int) -> tuple[float, bool]:
     """(log2 psi(m), whether m_next >= psi(m)) for a row of the Jarnik table.
 
     The two sides of a constructed row agree to far below float resolution,
-    so a family with an exact pair psi(m) = P/Q decides by m_next * Q >= P.
+    so a family with an exact pair psi(m) = P/Q decides by m_next * Q >= P,
+    and c * m^(a/b) (any scales folded into c) by
+    (m_next * c.denominator)^b >= c.numerator^b * m^a.
     """
     pq = psi.exact_pair(m)
     if pq is not None:
         return log2_ratio(*pq), m_next * pq[1] >= pq[0]
     l2p = psi.log2(m)
+    c = Fraction(1)
+    while psi.kind == "scale":
+        c, psi = c * psi.param, psi.inner
+    if psi.kind == "pow":
+        a, b = psi.param.numerator, psi.param.denominator
+        return l2p, (m_next * c.denominator) ** b >= c.numerator ** b * m ** a
     return l2p, math.log2(m_next) >= l2p
 
 

@@ -624,6 +624,16 @@ def _resolve_distance(theta: Theta, m: int, rel_bits: int = 40):
         f"(anchor distance {float(d):.4g}, radius 2^{err:.4g})")
 
 
+def _distance_upper(theta: Theta, m: int) -> Fraction:
+    """A certified upper bound on ||m theta||: the anchor distance plus the
+    radius, one bit wider, of theta's tightest enclosure.  Unlike
+    _resolve_distance it needs no relative accuracy, so an anchor at a
+    convergent n/m (distance 0) still gives a bound."""
+    *_, enc = _escalating_enclosures(theta, max(96, m.bit_length() + 96))
+    d, err = _dist_from_enclosure(enc, m)
+    return d if err == -_INF else d + Fraction(2) ** (math.ceil(err) + 1)
+
+
 def nearest_distance(theta: Theta, m: int) -> mpmath.mpf:
     """||m * theta||, the distance from m*theta to the nearest integer.
 
@@ -679,9 +689,11 @@ def legendre_hits(theta: Theta, M: int) -> list[int]:
     g q_k <= M with |g p_k - g q_k theta| < 1/(2 g q_k); that condition is
     monotone in g, so g counts up from 1 to the first miss.
 
-    When the certified expansion stops at q_K with q_K + q_{K-1} <= M (an
-    unknown convergent has q_{K+1} >= q_K + q_{K-1}), or a candidate does
-    not resolve, raises PrecisionExhausted: last_certified is the largest m
+    When the certified expansion stops at q_K, an unknown convergent has
+    q_{K+1} >= q_K + q_{K-1}, and q_{K+1} > 1/u - q_K for a certified upper
+    bound u on ||q_K theta|| (as ||q_K theta|| > 1/(q_{K+1} + q_K)).  When
+    q_{K+1} may lie at or below M by both bounds, or a candidate does not
+    resolve, raises PrecisionExhausted: last_certified is the largest m
     below both, and `partial` holds the hits up to it.
     """
     _require_irrational(theta, "legendre_hits")
@@ -693,7 +705,15 @@ def legendre_hits(theta: Theta, M: int) -> list[int]:
     except PrecisionExhausted as e:
         cf = e.partial if isinstance(e.partial, ContinuedFraction) else None
     convs = convergents(cf) if cf is not None else []
-    limit = min(M, convs[-1].m + convs[-2].m - 1) if len(convs) > 1 else 0
+    limit = 0
+    if len(convs) > 1:
+        qK = convs[-1].m
+        limit = qK + convs[-2].m - 1
+        if limit < M:
+            u = _distance_upper(theta, qK)
+            if u > 0:
+                limit = max(limit, math.ceil(1 / u - qK) - 1)
+        limit = min(M, limit)
     hits = set()
     for c in convs:
         g = 1
@@ -720,11 +740,27 @@ def legendre_hits(theta: Theta, M: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ApproximationEvent:
+    """One tested m: `hit` is the certified ||m theta|| < 1/psi(m), and `d`
+    the exact anchor of ||m theta||.  The 96-bit values `dist` and
+    `threshold` are computed when read; the scan decides without them."""
+
     m: int
-    dist: object       # mpf
-    threshold: object  # mpf
+    d: Fraction
+    psi: PsiFunction
     hit: bool
     is_convergent: bool = False
+
+    @property
+    def dist(self) -> mpmath.mpf:
+        with mpmath.workprec(96):
+            if self.d == 0:
+                return mpmath.mpf(0)
+            return mpmath.mpf(self.d.numerator) / self.d.denominator
+
+    @property
+    def threshold(self) -> mpmath.mpf:
+        with mpmath.workprec(96):
+            return 1 / self.psi.eval(self.m, 96)
 
 
 @dataclass(frozen=True)
@@ -738,50 +774,50 @@ class ScanResult:
         return [e.m for e in self.events if e.hit]
 
 
-def _compare_dist_threshold(d: Fraction, err: float, psi: PsiFunction, m: int):
-    """Certified comparison of dist = d +- 2^err against 1/psi(m).
-
-    Returns (hit, dist_mpf, threshold_mpf).
+def _compare_dist_threshold(d: Fraction, err: float, psi: PsiFunction,
+                            m: int) -> bool:
+    """Certified comparison dist < 1/psi(m), where dist = d +- 2^err.
 
     Screen: for m <= 2**53, l2d = log2_fraction(d) and l2thr = -psi.log2(m)
     are floats within 2**-20 of the exact logs while both are at most 2**30
     in magnitude (measured against a 256-bit reference in
     tests/test_realfield.py).  When they differ by more than 1 bit, the
-    order of d and 1/psi(m) is the order of the floats, and the exact gap
-    has log2(gap) >= min(l2d, l2thr) - 2**-17; so a radius err at least 3
-    bits below both cannot reach the exact test's limit log2(gap) - 1 and
-    the screen returns what that test would.  Otherwise families with an
-    exact psi(m) = P/Q compare d.numerator * P with Q * d.denominator, and
-    the others keep a 1e-6 guard band in log2.
+    order of d and 1/psi(m) is the order of the floats, and the larger value
+    exceeds the smaller by a factor above 2**(1 - 2**-19), so the exact gap
+    is at least half the larger: log2(gap) >= max(l2d, l2thr) - 1 - 2**-17.
+    A radius err <= max(l2d, l2thr) - 3 therefore stays below the exact
+    test's limit log2(gap) - 1, and the screen returns what that test would.
+
+    Families with an exact psi(m) = P/Q take that bound; the exact test
+    compares d.numerator * P with Q * d.denominator.  The others keep the
+    bound min(l2d, l2thr) - 3, because their fallback, a comparison in log2
+    with a 1e-6 guard band, already gives up at err > min(l2d, l2thr) - 2.
     """
-    with mpmath.workprec(96):
-        thr = 1 / psi.eval(m, 96)
-        dm = (mpmath.mpf(d.numerator) / d.denominator) if d > 0 else mpmath.mpf(0)
     l2thr = -psi.log2(m)
     l2d = log2_fraction(d) if d > 0 else -_INF
+    screen = max(l2d, l2thr) if psi.has_exact_pair else min(l2d, l2thr)
     if (m <= _SCREEN_M_MAX and abs(l2d - l2thr) > 1
             and max(abs(l2d), abs(l2thr)) <= _SCREEN_LOG2_MAX
-            and err <= min(l2d, l2thr) - 3):
-        return l2d < l2thr, dm, thr
-    pq = psi.exact_pair(m)
-    if pq is not None:
+            and err <= screen - 3):
+        return l2d < l2thr
+    if psi.has_exact_pair:
         # d < Q/P  <=>  d.numerator * P < Q * d.denominator
-        P, Q = pq
+        P, Q = psi.exact_pair(m)
         diff = d.numerator * P - Q * d.denominator
         if diff == 0:
             if err != -_INF:
                 raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
-            return False, dm, thr  # boundary: strict inequality fails
+            return False  # boundary: strict inequality fails
         # gap = |d - Q/P| = |diff| / (d.denominator * P)
         if err != -_INF and err > log2_ratio(abs(diff), d.denominator * P) - 1:
             raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
-        return diff < 0, dm, thr
+        return diff < 0
     # no exact threshold available: compare in log2 with a wide guard band
     if err != -_INF and err > min(l2d, l2thr) - 2:
         raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
     if abs(l2d - l2thr) < 1e-6:
         raise PrecisionExhausted(f"scan comparison too close to call at m={m}")
-    return l2d < l2thr, dm, thr
+    return l2d < l2thr
 
 
 def approximability_scan(theta: Theta, psi: PsiFunction, M: int,
@@ -796,6 +832,10 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int,
     legendre_hits).  Only those multiples are tested there, and each takes
     its distance from the convergent's resolved one: while g d <= 1/2,
     ||g q_k theta|| is g d with radius g 2^err, the same relative radius.
+
+    Each event is decided from the exact anchor distance, log2 values and,
+    for near-ties, integer cross-multiplication, without building psi(m):
+    its 96-bit `dist` and `threshold` are computed only when read.
 
     certified_to is M unless a distance or comparison does not resolve at
     some m (then at most m - 1), or m* <= M and the certified expansion
@@ -833,11 +873,11 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int,
             return
         try:
             d, err = dist or _resolve_distance(theta, m)
-            hit, dm, thr = _compare_dist_threshold(d, err, psi, m)
+            hit = _compare_dist_threshold(d, err, psi, m)
         except PrecisionExhausted:
             certified_to = min(certified_to, m - 1)
             return
-        events[m] = ApproximationEvent(m, dm, thr, hit, is_conv)
+        events[m] = ApproximationEvent(m, d, psi, hit, is_conv)
 
     for m in range(1, min(m_star - 1, M) + 1):
         add_event(m)

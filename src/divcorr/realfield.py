@@ -129,6 +129,11 @@ class PsiFunction:
         self.param = param
         self.inner = inner
         self.text = text if text is not None else self._render()
+        # whether exact_pair gives psi(m) = P/Q at every integer m; decided
+        # here so callers can branch on it without building the pair
+        self.has_exact_pair = (kind == "exp"
+                               or (kind == "pow" and param.denominator == 1)
+                               or (kind == "scale" and inner.has_exact_pair))
         if kind == "exp":
             # log2 of the base, to within an ulp: log2(x) multiplies it by x,
             # so its relative error is the relative error of the result
@@ -193,16 +198,14 @@ class PsiFunction:
         not reduced to lowest terms; None when the family has no exact
         value.  Skipping the reduction saves a gcd of two huge coprime
         powers (a**m, b**m)."""
+        if not self.has_exact_pair:
+            return None
         if self.kind == "exp":
             return self.param.numerator ** m, self.param.denominator ** m
-        if self.kind == "pow" and self.param.denominator == 1:
+        if self.kind == "pow":
             return m ** self.param.numerator, 1
-        if self.kind == "scale":
-            pq = self.inner.exact_pair(m)
-            if pq is None:
-                return None
-            return self.param.numerator * pq[0], self.param.denominator * pq[1]
-        return None
+        P, Q = self.inner.exact_pair(m)
+        return self.param.numerator * P, self.param.denominator * Q
 
     def eval_fraction(self, m: int) -> Fraction | None:
         """Exact value of psi(m) at integer m, when the family allows it."""

@@ -409,15 +409,23 @@ def test_legendre_hits_at_2_32():
 
 
 def test_legendre_hits_stop_below_an_unknown_convergent():
-    # jarnik:pow:2:4 is [0; 1, 1, 2, 5], with q_3 = 5 and q_4 = 27: an
-    # unbuilt convergent may sit at q_5 = 27 + 5 = 32
+    # jarnik:pow:2:4 is [0; 1, 1, 2, 5], with q_3 = 5 and q_4 = 27.  An
+    # unbuilt q_5 is at least 27 + 5 = 32, and the enclosure bounds
+    # ||27 theta|| < 2^-8, so q_5 > 2^8 - 27 lies past 100.  The hits stop
+    # where the enclosure no longer decides a multiple of 27 (81), as the
+    # O(M) loop does.
     theta = dio.theta_parse("jarnik:pow:2:4")
     assert dio.legendre_hits(theta, 31) == [1, 2, 5, 27]
     assert oracle_hits_enclosure(theta, 31) == [1, 2, 5, 27]
+    assert dio.legendre_hits(theta, 32) == [1, 2, 5, 27]
+    with pytest.raises(PrecisionExhausted) as old:
+        oracle_hits_enclosure(theta, 100)
+    assert old.value.last_certified == 80
+    assert old.value.partial == [1, 2, 5, 27, 54]
     with pytest.raises(PrecisionExhausted) as ei:
-        dio.legendre_hits(theta, 32)
-    assert ei.value.last_certified == 31
-    assert ei.value.partial == [1, 2, 5, 27]
+        dio.legendre_hits(theta, 100)
+    assert ei.value.last_certified >= 80
+    assert ei.value.partial == [1, 2, 5, 27, 54]
 
 
 def test_legendre_hits_without_certified_quotients():
@@ -548,30 +556,82 @@ def test_scan_events_are_pinned(theta, psi, M, digest):
 
 
 
+def _counting(monkeypatch, name):
+    """Count the calls of PsiFunction.<name> (and of its aliases)."""
+    calls = []
+    original = vars(PsiFunction)[name]
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    for key, value in list(vars(PsiFunction).items()):
+        if value is original:
+            monkeypatch.setattr(PsiFunction, key, counted)
+    return calls
+
+
 def test_scan_screen_leaves_few_exact_comparisons(monkeypatch):
     """The log2 screen decides all but a few events; the rest build the
     exact pair (a**m, b**m)."""
-    calls = []
-    exact_pair = PsiFunction.exact_pair
-
-    def counted(self, m):
-        calls.append(m)
-        return exact_pair(self, m)
-
-    monkeypatch.setattr(PsiFunction, "exact_pair", counted)
+    calls = _counting(monkeypatch, "exact_pair")
     res = dio.approximability_scan(dio.theta_parse("taubeta:2/1:4"),
                                    psi_parse("exp:1.5"), 2**16)
     assert len(res.events) == 2110
     assert len(calls) < 0.01 * len(res.events)
 
 
+def test_scan_screen_at_the_larger_log_when_threshold_is_far_below(monkeypatch):
+    """1/psi(m) = 1.1^-m falls far below ||m golden|| for most m; the screen
+    at max(l2d, l2thr) - 3 still decides those events without (11^m, 10^m)."""
+    calls = _counting(monkeypatch, "exact_pair")
+    res = dio.approximability_scan(dio.GoldenTheta(), psi_parse("exp:1.1"),
+                                   10**5)
+    assert len(res.events) > 1000
+    assert len(calls) < 0.02 * len(res.events)
+
+
+@pytest.mark.parametrize("theta,psi,M", [
+    ("taubeta:2/1:4", "exp:1.5", 2**16), ("golden", "pow:1.5", 10**5),
+    ("surd:2", "pow:3", 10**4), ("golden", "scale:0.4:pow:1", 1000),
+    ("surd:2", "expexp", 100)])
+def test_scan_builds_no_psi_values(monkeypatch, theta, psi, M):
+    calls = _counting(monkeypatch, "eval")
+    res = dio.approximability_scan(dio.theta_parse(theta), psi_parse(psi), M)
+    assert res.events and calls == []
+
+
+def _eager_values(d, psi, m):
+    """(dist, threshold) as the scan built them for every event before they
+    were computed on access.  Oracle for the test below."""
+    with mpmath.workprec(96):
+        thr = 1 / psi.eval(m, 96)
+        dm = (mpmath.mpf(d.numerator) / d.denominator) if d > 0 else mpmath.mpf(0)
+    return dm, thr
+
+
+@pytest.mark.parametrize("theta,psi,M,digest", [SCAN_DIGESTS[i] for i in (0, 2, 8)],
+                         ids=[f"{SCAN_DIGESTS[i][0]}-{SCAN_DIGESTS[i][1]}"
+                              for i in (0, 2, 8)])
+def test_event_values_on_access_match_eager_values(theta, psi, M, digest):
+    th, ps = dio.theta_parse(theta), psi_parse(psi)
+    res = dio.approximability_scan(th, ps, M)
+    for e in res.events:
+        dm, thr = _eager_values(e.d, ps, e.m)
+        # an mpf compares by value; the repr also pins the 96-bit precision
+        assert (e.dist, e.threshold) == (dm, thr)
+        assert (repr(e.dist), repr(e.threshold)) == (repr(dm), repr(thr))
+        # the anchor is the one the scan certified: within 2^-40 relative
+        # of the resolved distance of m (each is within 2^-40 of the truth)
+        d, err = dio._resolve_distance(th, e.m)
+        assert abs(e.d - d) <= d * Fraction(1, 2**38)
+    assert _scan_digest(res) == digest
+
+
 def _fraction_compare(d, err, psi, m):
     """The scan comparison as it was before the log2 screen: reduce psi(m)
     to a Fraction and compare d with its inverse.  Oracle for the property
     below."""
-    with mpmath.workprec(96):
-        thr = 1 / psi.eval(m, 96)
-        dm = (mpmath.mpf(d.numerator) / d.denominator) if d > 0 else mpmath.mpf(0)
     exact = psi.eval_fraction(m)
     if exact is not None:
         bound = 1 / exact
@@ -579,10 +639,10 @@ def _fraction_compare(d, err, psi, m):
         if gap == 0:
             if err != -math.inf:
                 raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
-            return False, dm, thr  # boundary: strict inequality fails
+            return False  # boundary: strict inequality fails
         if err != -math.inf and err > log2_fraction(gap) - 1:
             raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
-        return d < bound, dm, thr
+        return d < bound
     # no exact threshold available: compare in log2 with a wide guard band
     l2thr = -psi.log2(m)
     l2d = log2_fraction(d) if d > 0 else -math.inf
@@ -590,7 +650,7 @@ def _fraction_compare(d, err, psi, m):
         raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
     if abs(l2d - l2thr) < 1e-6:
         raise PrecisionExhausted(f"scan comparison too close to call at m={m}")
-    return l2d < l2thr, dm, thr
+    return l2d < l2thr
 
 
 _COMPARE_PSIS = ["exp:3/2", "exp:3", "exp:7/5", "pow:3", "pow:2", "pow:5/2",
@@ -621,7 +681,8 @@ def _comparisons(draw):
             far = (1 + frac) * Fraction(2) ** draw(st.integers(1, 200))
             d = bound * far if draw(st.booleans()) else bound / far
     l2d, l2thr = log2_fraction(d), -psi.log2(m)
-    limits = [min(l2d, l2thr) - 2, min(l2d, l2thr) - 3]
+    limits = [min(l2d, l2thr) - 2, min(l2d, l2thr) - 3,
+              max(l2d, l2thr) - 2, max(l2d, l2thr) - 3]
     if d != bound:
         limits.append(log2_fraction(abs(d - bound)) - 1)
     how = draw(st.sampled_from(["exact", "near", "below"]))
@@ -629,9 +690,12 @@ def _comparisons(draw):
         err = -math.inf
     elif how == "near":
         # two correct roundings of log2(gap) may differ in the last bits,
-        # so the draw stays clear of the limit by 1e-6
-        u = draw(st.floats(-3, 3).filter(lambda u: abs(u) >= 1e-6))
+        # so the draw stays clear of every limit by 1e-6 (a limit plus a
+        # whole number of bits can land on another: max(l2d, l2thr) - 1 is
+        # log2(gap) - 1 to the last bits when d is far below 1/psi(m))
+        u = draw(st.floats(-3, 3))
         err = draw(st.sampled_from(limits)) + u
+        assume(all(abs(err - lim) >= 1e-6 for lim in limits))
     else:
         err = min(limits) - draw(st.integers(1, 300))
     return d, err, psi, m
