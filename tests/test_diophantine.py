@@ -610,9 +610,11 @@ def _eager_values(d, psi, m):
     return dm, thr
 
 
-@pytest.mark.parametrize("theta,psi,M,digest", [SCAN_DIGESTS[i] for i in (0, 2, 8)],
-                         ids=[f"{SCAN_DIGESTS[i][0]}-{SCAN_DIGESTS[i][1]}"
-                              for i in (0, 2, 8)])
+_VALUE_SCANS = [SCAN_DIGESTS[i] for i in (0, 2, 8)]
+
+
+@pytest.mark.parametrize("theta,psi,M,digest", _VALUE_SCANS,
+                         ids=[f"{t}-{p}" for t, p, _, _ in _VALUE_SCANS])
 def test_event_values_on_access_match_eager_values(theta, psi, M, digest):
     th, ps = dio.theta_parse(theta), psi_parse(psi)
     res = dio.approximability_scan(th, ps, M)
