@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -99,21 +98,13 @@ def _psi_target(psi, m: int, m_next: int) -> tuple[float, bool]:
     """(log2 psi(m), whether m_next >= psi(m)) for a row of the Jarnik table.
 
     The two sides of a constructed row agree to far below float resolution,
-    so a family with an exact pair psi(m) = P/Q decides by m_next * Q >= P,
-    and c * m^(a/b) (any scales folded into c) by
-    (m_next * c.denominator)^b >= c.numerator^b * m^a.
+    so target_met is decided exactly (PsiFunction.at_most) wherever the
+    family allows it, and in log2 only for expexp.
     """
     pq = psi.exact_pair(m)
-    if pq is not None:
-        return log2_ratio(*pq), m_next * pq[1] >= pq[0]
-    l2p = psi.log2(m)
-    c = Fraction(1)
-    while psi.kind == "scale":
-        c, psi = c * psi.param, psi.inner
-    if psi.kind == "pow":
-        a, b = psi.param.numerator, psi.param.denominator
-        return l2p, (m_next * c.denominator) ** b >= c.numerator ** b * m ** a
-    return l2p, math.log2(m_next) >= l2p
+    l2p = log2_ratio(*pq) if pq is not None else psi.log2(m)
+    met = psi.at_most(m, m_next)
+    return l2p, math.log2(m_next) >= l2p if met is None else met
 
 
 def cmd_cf(cfg: RunConfig, args) -> int:

@@ -207,6 +207,22 @@ class PsiFunction:
         P, Q = self.inner.exact_pair(m)
         return self.param.numerator * P, self.param.denominator * Q
 
+    def at_most(self, m: int, n: int) -> bool | None:
+        """Whether psi(m) <= n, decided exactly at integers m and n; None
+        for a family with no exact form (expexp).  An exact pair P/Q decides
+        by n * Q >= P, and c * m^(a/b) (any scales folded into c) by
+        (n * c.denominator)^b >= c.numerator^b * m^a."""
+        pq = self.exact_pair(m)
+        if pq is not None:
+            return n * pq[1] >= pq[0]
+        c, psi = Fraction(1), self
+        while psi.kind == "scale":
+            c, psi = c * psi.param, psi.inner
+        if psi.kind != "pow":
+            return None
+        a, b = psi.param.numerator, psi.param.denominator
+        return (n * c.denominator) ** b >= c.numerator ** b * m ** a
+
     def eval_fraction(self, m: int) -> Fraction | None:
         """Exact value of psi(m) at integer m, when the family allows it."""
         pq = self.exact_pair(m)

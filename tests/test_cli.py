@@ -75,6 +75,8 @@ def jarnik_rows(capsys, spec):
     ("jarnik:exp:7/5:10", lambda m, n: 5**m * n >= 7**m),
     # m^(5/2) is irrational: n >= m^(5/2) <=> n^2 >= m^5
     ("jarnik:pow:5/2:8", lambda m, n: n**2 >= m**5),
+    # n >= 3 m^(7/3) <=> n^3 >= 27 m^7
+    ("jarnik:scale:3:pow:7/3:8", lambda m, n: n**3 >= 27 * m**7),
 ])
 def test_cf_jarnik_target_met_is_exact(capsys, spec, met):
     rows = jarnik_rows(capsys, spec)

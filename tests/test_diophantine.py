@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from divcorr import diophantine as dio
@@ -573,22 +573,18 @@ def _counting(monkeypatch, name):
 
 def test_scan_screen_leaves_few_exact_comparisons(monkeypatch):
     """The log2 screen decides all but a few events; the rest build the
-    exact pair (a**m, b**m)."""
+    exact pair (a**m, b**m).  For golden x exp:1.1, 1/psi(m) = 1.1^-m falls
+    far below ||m golden|| for most m, and the screen at
+    max(l2d, l2thr) - 3 decides those events without (11^m, 10^m)."""
     calls = _counting(monkeypatch, "exact_pair")
-    res = dio.approximability_scan(dio.theta_parse("taubeta:2/1:4"),
-                                   psi_parse("exp:1.5"), 2**16)
-    assert len(res.events) == 2110
-    assert len(calls) < 0.01 * len(res.events)
-
-
-def test_scan_screen_at_the_larger_log_when_threshold_is_far_below(monkeypatch):
-    """1/psi(m) = 1.1^-m falls far below ||m golden|| for most m; the screen
-    at max(l2d, l2thr) - 3 still decides those events without (11^m, 10^m)."""
-    calls = _counting(monkeypatch, "exact_pair")
-    res = dio.approximability_scan(dio.GoldenTheta(), psi_parse("exp:1.1"),
-                                   10**5)
-    assert len(res.events) > 1000
-    assert len(calls) < 0.02 * len(res.events)
+    for theta, psi, M, check, ratio in [
+            ("taubeta:2/1:4", "exp:1.5", 2**16, lambda n: n == 2110, 0.01),
+            ("golden", "exp:1.1", 10**5, lambda n: n > 1000, 0.02)]:
+        calls.clear()
+        res = dio.approximability_scan(dio.theta_parse(theta),
+                                       psi_parse(psi), M)
+        assert check(len(res.events))
+        assert len(calls) < ratio * len(res.events)
 
 
 @pytest.mark.parametrize("theta,psi,M", [
@@ -663,7 +659,8 @@ _COMPARE_PSIS = ["exp:3/2", "exp:3", "exp:7/5", "pow:3", "pow:2", "pow:5/2",
 @st.composite
 def _comparisons(draw):
     """(d, err, psi, m): d exactly at 1/psi(m), within a bit of it, or far
-    from it; err exact (-inf), near a decision limit, or far below it."""
+    from it; err exact (-inf), on or near a decision limit, or far below
+    it."""
     psi = psi_parse(draw(st.sampled_from(_COMPARE_PSIS)))
     m = draw(st.integers(1, 8 if psi.text.endswith("expexp") else 2000))
     exact = psi.eval_fraction(m)
@@ -685,19 +682,26 @@ def _comparisons(draw):
     l2d, l2thr = log2_fraction(d), -psi.log2(m)
     limits = [min(l2d, l2thr) - 2, min(l2d, l2thr) - 3,
               max(l2d, l2thr) - 2, max(l2d, l2thr) - 3]
-    if d != bound:
-        limits.append(log2_fraction(abs(d - bound)) - 1)
-    how = draw(st.sampled_from(["exact", "near", "below"]))
+    gap_limit = log2_fraction(abs(d - bound)) - 1 if d != bound else None
+    if gap_limit is not None:
+        limits.append(gap_limit)
+    how = draw(st.sampled_from(["exact", "on", "near", "below"]))
     if how == "exact":
         err = -math.inf
+    elif how == "on":
+        # the code and the oracle compute the min and max limits as the
+        # same float expression, so a radius exactly on one probes the
+        # non-strict side of that decision
+        err = draw(st.sampled_from(limits[:4]))
+        assume(gap_limit is None or abs(err - gap_limit) >= 1e-6)
     elif how == "near":
         # two correct roundings of log2(gap) may differ in the last bits,
-        # so the draw stays clear of every limit by 1e-6 (a limit plus a
-        # whole number of bits can land on another: max(l2d, l2thr) - 1 is
+        # so the draw stays clear of the gap limit by 1e-6, also when
+        # another limit plus whole bits lands on it (max(l2d, l2thr) - 1 is
         # log2(gap) - 1 to the last bits when d is far below 1/psi(m))
-        u = draw(st.floats(-3, 3))
+        u = draw(st.floats(-3, 3).filter(lambda u: abs(u) >= 1e-6))
         err = draw(st.sampled_from(limits)) + u
-        assume(all(abs(err - lim) >= 1e-6 for lim in limits))
+        assume(gap_limit is None or abs(err - gap_limit) >= 1e-6)
     else:
         err = min(limits) - draw(st.integers(1, 300))
     return d, err, psi, m
@@ -710,8 +714,16 @@ def _outcome(compare, d, err, psi, m):
         return str(e)
 
 
+def _on_fallback_limit():
+    """A radius exactly on min(l2d, l2thr) - 2, where the fallback for a
+    family without an exact pair still decides."""
+    psi, m, d = psi_parse("pow:5/2"), 7, Fraction(1, 1000)
+    return d, min(log2_fraction(d), -psi.log2(m)) - 2, psi, m
+
+
 @settings(max_examples=400, deadline=None)
 @given(_comparisons())
+@example(_on_fallback_limit())
 def test_compare_matches_fraction_oracle(case):
     assert (_outcome(dio._compare_dist_threshold, *case)
             == _outcome(_fraction_compare, *case))

@@ -147,6 +147,19 @@ def test_psi_exact_fraction_and_ceil_div():
     assert e.ceil_div(1, 1 << 20) == 16  # ceil(e^e) = 16
 
 
+@pytest.mark.parametrize("spec,m,P", [
+    ("exp:3/2", 5, Fraction(243, 32)), ("scale:4/3:pow:2", 3, Fraction(12)),
+    ("pow:5/2", 4, Fraction(32)), ("scale:3:pow:7/3", 8, Fraction(384)),
+    ("scale:1/2:pow:5/2", 9, Fraction(243, 2))])
+def test_psi_at_most_is_exact(spec, m, P):
+    """psi(m) = P at each m; at_most holds from the ceiling of P on, also
+    for m^(a/b), where no exact pair exists."""
+    psi = psi_parse(spec)
+    n = -(-P.numerator // P.denominator)
+    assert [psi.at_most(m, k) for k in (n - 1, n, n + 1)] == [False, True, True]
+    assert psi_parse("expexp").at_most(2, 10**6) is None
+
+
 # --- measured error of the log2 values the scan screen compares ------------
 #
 # diophantine._compare_dist_threshold decides most scan events from
