@@ -25,6 +25,6 @@ from .divisor import DivisorTable, delta, mean_square, sieve_tau, summatory_D
 from .errors import (ConstructionInfeasible, PrecisionExhausted, PsiParseError,
                      ResourceLimit, ThetaParseError)
 from .exactsum import exact_sum
-from .realfield import PsiFunction, gamma_const, psi_inverse, psi_parse
+from .realfield import PsiFunction, gamma_const, psi_parse
 from .voronoi import (SpectralParams, SpectralReport, a_mn, lambda_kernel,
                       osc_integral, q_n, spectral_j)

@@ -13,20 +13,18 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
+from .checks import SUITES
 from .correlation import (CSV_HEADER, compare_spectral, correlate_grid,
                           fit_exponent, result_csv_row, results_json)
 from .diophantine import (ContinuedFraction, JarnikTheta, TauBetaTheta, Theta,
                           construct_tau_beta, convergent_invariants,
-                          convergents, legendre_hits, nearest_distance,
-                          theta_parse)
-from .divisor import delta, mean_square, sieve_tau, tong_ratio_oracle
+                          convergents, nearest_distance, theta_parse)
+from .divisor import delta, sieve_tau
 from .errors import (ConstructionInfeasible, PrecisionExhausted, PsiParseError,
                      ResourceLimit, ThetaParseError)
 from .realfield import _fmt, log2_ratio, psi_parse
-from .voronoi import SpectralParams, lambda_kernel, osc_integral, q_n, spectral_j
+from .voronoi import q_n
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -201,126 +199,12 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check(name: str, measured, threshold, ok: bool, lines: list) -> bool:
-    lines.append(f"{name}: measured={measured} threshold={threshold} "
-                 f"{'PASS' if ok else 'FAIL'}")
-    return ok
-
-
-def _verify_cf(lines: list) -> bool:
-    ok = True
-    for spec in ("surd:2", "surd:3", "golden"):
-        rep = convergent_invariants(theta_parse(spec), 50)
-        ok &= _check(f"cf invariants {spec} K=50", rep.all_ok, True, rep.all_ok, lines)
-        if spec == "golden":
-            ok &= _check("golden m_k = F_(k+1) exactly",
-                         rep.fibonacci_all_equal, True,
-                         rep.fibonacci_all_equal, lines)
-    jt = theta_parse("jarnik:expexp:6")
-    rep = convergent_invariants(jt, len(jt.cf) - 1)
-    ok &= _check(f"cf invariants jarnik:expexp (K={len(jt.cf) - 1} within budget)",
-                 rep.all_ok, True, rep.all_ok, lines)
-    return ok
-
-
-def _verify_legendre(lines: list) -> bool:
-    ok = True
-    expected_sqrt2 = [1, 2, 5, 12, 29, 70, 169, 408, 985, 2378, 5741,
-                      13860, 33461, 80782]
-    M = 10**5
-    for spec in ("surd:2", "surd:3", "golden"):
-        theta = theta_parse(spec)
-        hits = legendre_hits(theta, M)
-        cf = theta.continued_fraction(60)
-        convs = [c for c in convergents(cf) if c.m <= M]
-        dens = sorted({c.m for c in convs})
-        subset = set(hits) <= set(dens)
-        ok &= _check(f"legendre criterion {spec}: hits are convergent "
-                     f"denominators", subset, True, subset, lines)
-        # independent route: which convergents actually satisfy the bound
-        qualify = sorted({c.m for c in convs
-                          if nearest_distance(theta, c.m) < 1.0 / (2 * c.m)})
-        exact = hits == qualify
-        ok &= _check(f"legendre hit set {spec} matches per-convergent "
-                     f"distances", exact, True, exact, lines)
-        if spec in ("surd:2", "golden"):
-            eq = hits == dens
-            ok &= _check(f"{spec}: every convergent denominator qualifies",
-                         eq, True, eq, lines)
-        if spec == "surd:2":
-            good2 = hits == expected_sqrt2
-            ok &= _check("sqrt2 denominator list", good2, True, good2, lines)
-    return ok
-
-
-def _verify_lambda(cfg: RunConfig, lines: list) -> bool:
-    ok = True
-    exact0 = lambda_kernel(0.0) == 1.0 / 3.0
-    ok &= _check("lambda(0) = 1/3 exactly", exact0, True, exact0, lines)
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for _ in range(100):
-        a = float(10.0 ** rng.uniform(-2, 2))
-        X = float(10.0 ** rng.uniform(0.1, 4))
-        lhs = lambda_kernel(a * math.sqrt(X))
-        rhs = osc_integral(a, X, "cos") / X**1.5 + lambda_kernel(a) / X**1.5
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
-    ok &= _check("kernel/integral identity rel err", f"{worst:.3g}", "1e-10",
-                 worst < 1e-10, lines)
-    xs = np.linspace(1.0, 500.0, 20001)
-    decay = float(np.max(np.abs(lambda_kernel(xs) * xs)))
-    ok &= _check("kernel decay |L(x) x| on [1,500]", f"{decay:.4g}", "3.1",
-                 decay <= 3.1, lines)
-    return ok
-
-
-def _verify_spectral(lines: list) -> bool:
-    theta = theta_parse("surd:2")
-    th = math.sqrt(2)
-    X = 16.0
-    table = sieve_tau(16)
-    rep = spectral_j(theta, SpectralParams.default(X), table)
-    brute = 0.0
-    N = 8
-    for m in range(1, N + 1):
-        for n in range(1, N + 1):
-            u = 4 * math.pi * (math.sqrt(m * th) - math.sqrt(n)) * math.sqrt(X)
-            brute += (table.tau(m) * table.tau(n) / (m * n) ** 0.75
-                      * lambda_kernel(u))
-    brute *= X**1.5 / (2 * math.pi**2)
-    rel = abs(rep.J_total - brute) / abs(brute)
-    return _check("spectral sum vs naive double loop X=16", f"{rel:.3g}",
-                  "1e-9", rel < 1e-9, lines)
-
-
-def _verify_tong(lines: list) -> bool:
-    est, low, high = tong_ratio_oracle(2_000_000)
-    X = 10.0**6
-    ratio = mean_square(X) / X**1.5
-    rel = abs(ratio - est) / est
-    ok = rel < 0.10 and low * 0.9 < ratio < high * 1.1
-    return _check("mean square ratio vs series oracle", f"{ratio:.6f}",
-                  f"{est:.6f} +-10%", ok, lines)
-
-
-_SUITES = {
-    "cf": lambda cfg, lines: _verify_cf(lines),
-    "legendre": lambda cfg, lines: _verify_legendre(lines),
-    "lambda": _verify_lambda,
-    "spectral": lambda cfg, lines: _verify_spectral(lines),
-    "tong": lambda cfg, lines: _verify_tong(lines),
-}
-
-
 def cmd_verify(cfg: RunConfig, args) -> int:
     _emit(cfg.header("verify"))
-    if args.suite not in _SUITES:
-        raise ValueError(f"unknown suite {args.suite!r}; "
-                         f"choose from {sorted(_SUITES)}")
-    lines: list[str] = []
-    ok = _SUITES[args.suite](cfg, lines)
-    for ln in lines:
-        _emit(ln)
+    checks = SUITES[args.suite](cfg.seed)
+    for c in checks:
+        _emit(str(c))
+    ok = all(c.ok for c in checks)
     _emit(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -391,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="invariant suites")
     v.add_argument("--suite", type=str, required=True,
-                   choices=sorted(_SUITES))
+                   choices=sorted(SUITES))
     return p
 
 

@@ -11,6 +11,7 @@ costs nothing.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -30,6 +31,12 @@ DEFAULT_QUOTIENT_BITS = 1 << 22
 PARTIAL_SUM_BITS = 1 << 21
 
 _MAX_EXPAND_BITS = 1 << 24
+
+#: how many partial quotients approximability_scan expands theta to
+_SCAN_CONVERGENTS = 256
+
+#: dec: literals, int[.frac][e|E[+-]exp]; groups are frac and exp
+_DECIMAL = re.compile(r"[0-9]+(?:\.([0-9]+))?(?:[eE]([+-]?[0-9]+))?")
 
 #: the range over which the scan screen's log2 inputs have a measured error
 #: bound: m up to 2**53, log2 values up to 2**30 in magnitude
@@ -328,13 +335,16 @@ class CFLiteralTheta(Theta):
         return -(math.log2(mk) + math.log2(mk1_lb))
 
     def enclosure(self, bits: int) -> Enclosure:
+        """The last convergent c_K; theta lies above it for even K, below
+        for odd K."""
         err = self._tail_log2()
         side = 1 if (len(self._convs) - 1) % 2 == 0 else -1
+        enc = Enclosure(self._convs[-1].as_fraction(), err, side)
         if bits > -err:
             raise PrecisionExhausted(
-                f"cf literal resolves theta only to ~{-err:.0f} bits",
-                partial=Enclosure(self._convs[-1].as_fraction(), err, side))
-        return Enclosure(self._convs[-1].as_fraction(), err, side)
+                f"{len(self.cf)} quotients resolve theta only to "
+                f"~{-err:.4g} bits", partial=enc)
+        return enc
 
     def max_enclosure_bits(self) -> float:
         return -self._tail_log2()
@@ -440,70 +450,47 @@ class TauBetaTheta(Theta):
             return mpmath.mpf(p.numerator) / p.denominator
 
 
-class JarnikTheta(Theta):
+class JarnikTheta(CFLiteralTheta):
     """Number constructed to be approximable to a prescribed order: partial
     quotients grow like psi(m_k)/m_k (see construct_jarnik).  When the target
     K outgrows the quotient bit budget the constructible prefix is used
     (`truncated` keeps the reason); the enclosure width still accounts for
     the (unbuilt) next quotient."""
 
-    def __init__(self, psi: PsiFunction, K: int,
-                 max_quotient_bits: int = DEFAULT_QUOTIENT_BITS):
+    def __init__(self, psi: PsiFunction, K: int):
         self.psi = psi
-        self.K = K
         self.truncated = None
         try:
-            self.cf = construct_jarnik(psi, K, max_quotient_bits)
+            cf = construct_jarnik(psi, K)
         except PrecisionExhausted as e:
             if e.partial is None:
                 raise
             self.truncated = e
-            self.cf = e.partial
-        self.spec = f"jarnik:{psi.text}:{K}"
-        self._convs = convergents(self.cf)
+            cf = e.partial
+        super().__init__(cf, f"jarnik:{psi.text}:{K}")
 
     def _tail_log2(self) -> float:
+        # m_{K+1} >= a_{K+1} m_K >= psi(m_K), and m_{K+1} > m_K
         mK = self._convs[-1].m
         l2m = math.log2(mK)
         l2next = max(l2m, self.psi.log2(mK))
         return -(l2m + l2next)
 
-    def enclosure(self, bits: int) -> Enclosure:
-        err = self._tail_log2()
-        K = len(self._convs) - 1
-        side = 1 if K % 2 == 0 else -1
-        if err != -_INF and bits > -err:
-            raise PrecisionExhausted(
-                f"constructed quotients resolve theta only to ~{-err:.4g} bits",
-                partial=Enclosure(self._convs[-1].as_fraction(), err, side))
-        return Enclosure(self._convs[-1].as_fraction(), err, side)
-
-    def max_enclosure_bits(self) -> float:
-        t = self._tail_log2()
-        return _INF if t == -_INF else -t
-
-    def continued_fraction(self, K: int) -> ContinuedFraction:
-        if K + 1 > len(self.cf):
-            raise PrecisionExhausted(
-                f"only {len(self.cf)} quotients constructible within budget",
-                last_certified=len(self.cf) - 1, partial=self.cf)
-        return ContinuedFraction(self.cf.quotients[:K + 1])
-
 
 class DecimalTheta(Theta):
-    """Positive number given by a decimal literal, trusted to +-1 ulp of the
-    last written digit."""
+    """Positive number given by a decimal literal int[.frac][e|E[+-]exp],
+    trusted to +-1 unit in the last written digit: 10^(exp - len(frac))."""
 
     def __init__(self, digits: str):
+        lit = _DECIMAL.fullmatch(digits)
+        if lit is None:
+            raise ThetaParseError(f"bad decimal literal {digits!r}", 4)
         self.digits = digits
-        try:
-            self.exact = Fraction(digits)
-        except (ValueError, ZeroDivisionError):
-            raise ThetaParseError(f"bad decimal literal {digits!r}", 4) from None
+        self.exact = Fraction(digits)
         if self.exact <= 0:
             raise ValueError("theta must be positive")
-        frac_digits = len(digits.partition(".")[2])
-        self._err = -frac_digits * math.log2(10.0) if frac_digits else 0.0
+        frac, exp = lit.group(1) or "", int(lit.group(2) or 0)
+        self._err = math.log2(10.0) * (exp - len(frac))
         self.spec = f"dec:{digits}"
 
     def enclosure(self, bits: int) -> Enclosure:
@@ -521,7 +508,7 @@ def theta_parse(text: str) -> Theta:
     """Parse the theta mini-grammar:
 
     rat:a/b | surd:d | golden | cf:[a0;a1,a2,...] | taubeta:a/b:depth |
-    jarnik:<psi-expr>:K | dec:<digits>
+    jarnik:<psi-expr>:K | dec:<int>[.<frac>][e<exp>]
     """
     head, sep, rest = text.partition(":")
     if head == "golden":
@@ -820,8 +807,7 @@ def _compare_dist_threshold(d: Fraction, err: float, psi: PsiFunction,
     return l2d < l2thr
 
 
-def approximability_scan(theta: Theta, psi: PsiFunction, M: int,
-                         max_convergents: int = 256) -> ScanResult:
+def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
     """All m <= M with ||m theta|| < 1/psi(m), plus near-miss events at the
     convergent denominators.
 
@@ -886,7 +872,7 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int,
 
     # convergent denominators and their admissible multiples
     try:
-        cf = cf_expand(theta, max_convergents)
+        cf = cf_expand(theta, _SCAN_CONVERGENTS)
     except PrecisionExhausted as e:
         cf = e.partial if isinstance(e.partial, ContinuedFraction) else None
     if cf is not None:
@@ -943,8 +929,7 @@ class TauBetaNumber:
         return TauBetaTheta(self.a, self.b, self.depth)
 
 
-def construct_tau_beta(a: int, b: int, depth: int,
-                       precision_bits: int | None = None) -> TauBetaNumber:
+def construct_tau_beta(a: int, b: int, depth: int) -> TauBetaNumber:
     """Partial sum of 1/beta^{t_1} + 1/beta^{t_2} + ... with beta = a/b > 1
     in lowest terms and tower exponents t_1 = 1, t_{i+1} = a^{t_i}.
 
@@ -957,28 +942,20 @@ def construct_tau_beta(a: int, b: int, depth: int,
         raise PrecisionExhausted(
             f"depth {depth} exceeds the bit budget; max safe depth is {dmax}",
             last_certified=dmax)
-    if precision_bits is not None:
-        need = theta.tower(depth) * (math.log2(a) - math.log2(b))
-        if precision_bits < need:
-            raise PrecisionExhausted(
-                f"precision {precision_bits} bits cannot resolve the depth-"
-                f"{depth} term (~{need:.0f} bits needed)",
-                last_certified=depth - 1)
     exps = tuple(theta.tower(i) for i in range(1, depth + 1))
     return TauBetaNumber(a=a, b=b, depth=depth, exponents=exps,
                          partial=theta.partial_sum(depth),
                          tail_log2=theta.tail_log2(depth))
 
 
-def construct_jarnik(psi: PsiFunction, K: int,
-                     max_quotient_bits: int = DEFAULT_QUOTIENT_BITS) -> ContinuedFraction:
+def construct_jarnik(psi: PsiFunction, K: int) -> ContinuedFraction:
     """Continued fraction [0; 1, a_2, ..., a_K] with
     a_{k+1} = max(1, ceil(psi(m_k)/m_k)), so that every convergent
     denominator satisfies ||m_k theta|| < 1/m_{k+1} <= 1/psi(m_k).
 
     Requires psi(x)/x to actually grow (1/psi(x) = o(1/x)): a construction
     whose quotients degenerate to all ones raises ConstructionInfeasible.
-    Quotients larger than `max_quotient_bits` bits raise PrecisionExhausted
+    Quotients larger than DEFAULT_QUOTIENT_BITS bits raise PrecisionExhausted
     carrying the constructible prefix.
     """
     if K < 1:
@@ -987,10 +964,10 @@ def construct_jarnik(psi: PsiFunction, K: int,
     m_prev, m_cur = 1, 1  # m_0, m_1
     for k in range(2, K + 1):
         try:
-            ak = max(1, psi.ceil_div(m_cur, max_quotient_bits))
+            ak = max(1, psi.ceil_div(m_cur, DEFAULT_QUOTIENT_BITS))
         except PrecisionExhausted as e:
             raise PrecisionExhausted(
-                f"quotient a_{k} exceeds the {max_quotient_bits}-bit budget; "
+                f"quotient a_{k} exceeds the {DEFAULT_QUOTIENT_BITS}-bit budget; "
                 f"max constructible K is {k - 1}",
                 last_certified=k - 1,
                 partial=ContinuedFraction(tuple(qs))) from e
@@ -1069,7 +1046,7 @@ def convergent_invariants(theta: Theta, K: int) -> InvariantReport:
     alt_ok = True
     sand_ok = True
     sand_checked = 0
-    anchored_here = isinstance(theta, (CFLiteralTheta, JarnikTheta))
+    anchored_here = isinstance(theta, CFLiteralTheta)
     top = len(convs) - (3 if anchored_here else 2)
     for k in range(0, len(convs)):
         try:

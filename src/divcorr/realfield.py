@@ -80,24 +80,6 @@ def log2_ratio(p: int, q: int) -> float:
     return (math.log2(ps) + max(pb - 53, 0)) - (math.log2(qs) + max(qb - 53, 0))
 
 
-def certified_floor(anchor: Fraction, log2_err: float):
-    """Floor of a real known to lie within 2**log2_err of `anchor`.
-
-    Raises PrecisionExhausted when the enclosure straddles an integer.
-    """
-    fl = anchor.numerator // anchor.denominator
-    frac = anchor - fl
-    # distance to the nearest integer boundary must exceed the error radius
-    gap = min(frac, 1 - frac)
-    if gap == 0:
-        if log2_err == -math.inf:
-            return fl
-        raise PrecisionExhausted("floor sits on an integer boundary")
-    if log2_err != -math.inf and log2_err >= log2_fraction(gap) - 1:
-        raise PrecisionExhausted("enclosure too wide to certify floor")
-    return fl
-
-
 # ---------------------------------------------------------------------------
 # psi expression language
 #
@@ -311,7 +293,3 @@ def psi_parse(text: str) -> PsiFunction:
         return PsiFunction("scale", c, inner=inner, text=text)
     raise PsiParseError(f"unknown psi family {head!r}", 0)
 
-
-def psi_inverse(f: PsiFunction, y) -> float:
-    """Inverse evaluation of a parsed psi function."""
-    return f.inverse(y)

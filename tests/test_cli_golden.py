@@ -41,6 +41,8 @@ GOLDEN = [
      "5d77c8803fa880371b7807d71d666eda307f64d08ceaee4d5931c866f6006e9c"),
     ("verify --suite lambda",
      "491f3206c5c500ba6792c0cc30f36f4f7228b5ca6218aacb4cc2b3f8b1d10b90"),
+    ("verify --suite tong",
+     "62f150882aa7b4ca444360b0f0dc113f346d9d55dccbb783169f18cd27914740"),
     ("cf --theta surd:2435 --terms 5",
      "8e1bb3d2a9c6ce50ff40c49032916568947dc86429fe2f737d5c4b1265278b94"),
 ]

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from divcorr import diophantine as dio
+from divcorr.checks import SUITES
 from divcorr.errors import (ConstructionInfeasible, PrecisionExhausted,
                             ThetaParseError)
 from divcorr.realfield import (PsiFunction, _fmt, log2_fraction, psi_parse,
@@ -253,11 +254,10 @@ def test_legendre_hits_match_float_brute(spec, value):
 
 
 def test_legendre_hits_are_convergent_denominators():
-    for spec in ("surd:2", "surd:3", "golden"):
-        theta = dio.theta_parse(spec)
-        hits = dio.legendre_hits(theta, 10**4)
-        dens = {c.m for c in dio.convergents(theta.continued_fraction(40))}
-        assert set(hits) <= dens
+    # surd:2, surd:3 and golden at M = 1e5, in the legendre verify suite
+    checks = [c for c in SUITES["legendre"](0)
+              if c.name.endswith("hits are convergent denominators")]
+    assert len(checks) == 3 and all(c.ok for c in checks)
 
 
 # Oracles: the O(M) routes that legendre_hits replaced.  They decide every
@@ -451,9 +451,29 @@ def test_theta_parse_specs():
 
 def test_theta_parse_errors():
     for bad in ("", "frob:1", "surd:4", "surd:x", "rat:0/1", "cf:1;2",
-                "taubeta:2/3:4", "golden:1", "dec:-2"):
-        with pytest.raises((ThetaParseError, ValueError)):
+                "taubeta:2/3:4", "golden:1", "dec:-2", "dec:1/3", "dec:1_000",
+                "dec: 1.5", "dec:.5", "dec:1.", "dec:1e", "dec:inf"):
+        with pytest.raises(ThetaParseError):
             dio.theta_parse(bad)
+
+
+def _cf1_outcome(theta):
+    try:
+        return dio.cf_expand(theta, 1)
+    except PrecisionExhausted as e:
+        return e.last_certified, e.partial
+
+
+def test_decimal_exponent_sets_the_trust_radius():
+    # +-1 unit in the last written digit: 0.1 for each of these spellings
+    thetas = [dio.theta_parse(f"dec:{s}")
+              for s in ("1414.2", "1.4142e3", "1.4142E3", "14142e-1")]
+    assert {t.exact for t in thetas} == {Fraction(14142, 10)}
+    assert {t._err for t in thetas} == {-math.log2(10)}
+    # 1414.2 +- 0.1 lies above 1414, but not by the 4x margin cf_expand needs
+    assert {_cf1_outcome(t) for t in thetas} == {(-1, None)}
+    assert dio.theta_parse("dec:1.5")._err == -math.log2(10)
+    assert dio.theta_parse("dec:25e+1")._err == math.log2(10)
 
 
 # --- scans -------------------------------------------------------------------
@@ -759,8 +779,6 @@ def test_construct_tau_beta_validation():
         dio.construct_tau_beta(2, 3, 2)  # beta < 1
     with pytest.raises(ValueError):
         dio.construct_tau_beta(4, 2, 2)  # not coprime
-    with pytest.raises(PrecisionExhausted):
-        dio.construct_tau_beta(2, 1, 4, precision_bits=8)
 
 
 def test_construct_jarnik_exp3():

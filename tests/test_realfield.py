@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divcorr.errors import PsiParseError
-from divcorr.realfield import (certified_floor, gamma_const, log2_fraction,
-                               log2_ratio, psi_inverse, psi_parse,
-                               to_fraction)
+from divcorr.realfield import (gamma_const, log2_fraction, log2_ratio,
+                               psi_parse, to_fraction)
 
 # published digits (independent reference)
 GAMMA_50 = "0.57721566490153286060651209008240243104215933593992"
@@ -49,14 +48,6 @@ def test_log2_fraction_huge():
     assert log2_fraction(f) == pytest.approx(expect, rel=1e-12)
 
 
-def test_certified_floor():
-    from divcorr.errors import PrecisionExhausted
-    assert certified_floor(Fraction(7, 2), -30) == 3
-    with pytest.raises(PrecisionExhausted):
-        certified_floor(Fraction(4, 1), -30)  # on the boundary
-    assert certified_floor(Fraction(4, 1), -math.inf) == 4
-
-
 # --- psi language ----------------------------------------------------------
 
 
@@ -79,12 +70,12 @@ def test_psi_parse_errors():
 
 
 def test_psi_inverse_closed_forms():
-    assert psi_inverse(psi_parse("pow:2"), 16) == pytest.approx(4.0)
+    assert psi_parse("pow:2").inverse(16) == pytest.approx(4.0)
     f = psi_parse("exp:3")
     X = 12345.0
     assert f.inverse(X**0.25) == pytest.approx(math.log(X**0.25) / math.log(3))
     e2 = math.exp(math.exp(2.0))
-    assert psi_inverse(psi_parse("expexp"), e2) == pytest.approx(2.0, rel=1e-12)
+    assert psi_parse("expexp").inverse(e2) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_psi_inverse_bisection_oracle():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from divcorr.divisor import delta, sieve_tau
+from divcorr.checks import SUITES
+from divcorr.divisor import delta
 from divcorr.voronoi import (SpectralParams, a_mn, lambda_kernel,
                              osc_integral, q_n, spectral_j)
 from divcorr.diophantine import theta_parse
@@ -143,23 +144,14 @@ def test_theta_enters_as_one_correctly_rounded_double():
     assert a_mn(theta, 1, 1) == a_mn(th, 1, 1)
 
 
-def spectral_brute(th: float, X: float, N: int, table):
-    acc = 0.0
-    for m in range(1, N + 1):
-        for n in range(1, N + 1):
-            u = 4 * math.pi * (math.sqrt(m * th) - math.sqrt(n)) * math.sqrt(X)
-            acc += (table.tau(m) * table.tau(n) / (m * n) ** 0.75
-                    * lambda_kernel(u))
-    return X**1.5 / (2 * math.pi**2) * acc
-
-
 def test_spectral_j_matches_brute(table_2e4):
-    theta = theta_parse("surd:2")
+    # the comparison with a naive double loop at X = 16 is the spectral
+    # suite of `divcorr verify`
+    check, = SUITES["spectral"](0)
+    assert check.ok, str(check)
     params = SpectralParams.default(16.0)
     assert params.N == 8 and params.T == math.inf
-    rep = spectral_j(theta, params, table_2e4)
-    brute = spectral_brute(math.sqrt(2), 16.0, 8, table_2e4)
-    assert rep.J_total == pytest.approx(brute, rel=1e-9)
+    rep = spectral_j(theta_parse("surd:2"), params, table_2e4)
     assert rep.term_count_lower == 64 and rep.term_count_upper == 0
     assert rep.D_upper == 0.0
 
