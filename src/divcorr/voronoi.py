@@ -28,17 +28,34 @@ def lambda_kernel(x):
 
     Near zero a degree-4 Taylor polynomial (1/3 - x^2/10 + x^4/168) replaces
     the catastrophically cancelling direct form.  Accepts scalars or arrays.
+
+    The direct form runs on the whole array, in place, with the operation
+    order of the expression above; entries with |x| < _LAMBDA_SWITCH, where
+    it divides by zero or overflows, are then overwritten.
     """
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sin(arr)
+        out = np.divide(s, arr)
+        c = np.cos(arr)
+        c *= 2.0
+        p = np.multiply(arr, arr)
+        c /= p
+        out += c
+        # np.power takes a slow path for negative bases (about half of the
+        # spectral rows' CPU time), but x*x*x and copysign(|x|**3, x) round
+        # some cubes differently, and the seed-0 benchmark gate pins J's
+        # bits; the cube stays until those may move.
+        np.power(arr, 3, out=p)
+        s *= 2.0
+        s /= p
+        out -= s
     small = np.abs(arr) < _LAMBDA_SWITCH
-    xs = arr[small]
-    out[small] = (1.0 / 3.0) - xs * xs / 10.0 + xs**4 / 168.0
-    xl = arr[~small]
-    sl, cl = np.sin(xl), np.cos(xl)
-    out[~small] = sl / xl + 2.0 * cl / xl**2 - 2.0 * sl / xl**3
+    if small.any():
+        xs = arr[small]
+        out[small] = (1.0 / 3.0) - xs * xs / 10.0 + xs**4 / 168.0
     return float(out[0]) if scalar else out
 
 
@@ -167,8 +184,10 @@ def spectral_j(theta, params: SpectralParams, table: DivisorTable,
         J = (X^{3/2} / (2 pi^2)) sum_{m,n <= N} tau(m) tau(n) (mn)^{-3/4}
                                    Lambda(a_mn sqrt(X)),
 
-    partitioned at the cutoff |a_mn sqrt(X)| <= T.  Rows are enumerated in m
-    order and reduced deterministically regardless of thread count.
+    partitioned at the cutoff |a_mn sqrt(X)| <= T.  With threads > 1, worker
+    i of min(threads, N) takes the rows m = i (mod that count).  Each row
+    sum is a numpy sum with its own rounding; the row sums are added with
+    math.fsum, which is exact, so the result does not depend on threads.
     """
     X, N, T = params.X, params.N, params.T
     if N < 0:
@@ -189,20 +208,34 @@ def spectral_j(theta, params: SpectralParams, table: DivisorTable,
     sqrt_n = np.sqrt(n)
     sX = math.sqrt(X)
 
-    def row(m):
-        u = (_4PI * (math.sqrt(m * th) - sqrt_n)) * sX
-        t = coef[m - 1] * coef * lambda_kernel(u)
-        mask = np.abs(u) <= T
-        lo = float(np.sum(t, where=mask)) if mask.any() else 0.0
-        hi = float(np.sum(t, where=~mask)) if (~mask).any() else 0.0
-        return lo, hi, int(mask.sum())
+    step = min(threads, N) if threads > 1 else 1
 
-    ms = range(1, N + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(row, ms))
+    def rows_from(first):
+        # rows first, first + step, ...; u and the coefficient products
+        # live in two buffers reused from row to row
+        u, t = np.empty(N), np.empty(N)
+        sums = []
+        for m in range(first, N + 1, step):
+            np.subtract(math.sqrt(m * th), sqrt_n, out=u)
+            u *= _4PI
+            u *= sX
+            np.multiply(coef[m - 1], coef, out=t)
+            t *= lambda_kernel(u)
+            mask = np.abs(u) <= T
+            k = int(np.count_nonzero(mask))
+            lo = float(np.sum(t, where=mask)) if k else 0.0
+            hi = float(np.sum(t, where=~mask)) if k < N else 0.0
+            sums.append((lo, hi, k))
+        return sums
+
+    if step > 1:
+        # one task per worker; fsum is exact, so the order in which the
+        # rows come back does not matter
+        with ThreadPoolExecutor(max_workers=step) as ex:
+            parts = list(ex.map(rows_from, range(1, step + 1)))
     else:
-        rows = [row(m) for m in ms]
+        parts = [rows_from(1)]
+    rows = [r for part in parts for r in part]
 
     pref = X**1.5 / (2.0 * math.pi**2)
     d_lower = pref * math.fsum(r[0] for r in rows)

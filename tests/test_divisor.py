@@ -224,6 +224,27 @@ def test_delta_jump_is_tau(table_2e4):
         assert jump == pytest.approx(table_2e4.tau(n), abs=1e-6)
 
 
+def test_delta_error_within_two_ulps_of_x_log_x():
+    # Against D(floor x) plus the main term at 200 bits.  The double error
+    # budget, in units u = ulp(max(x log x, x)): 1/2 for rounding x * log(x),
+    # up to 2 ulp(x log x) per ulp of log(x) for x * (log's error), about
+    # 1/8 for the (2 gamma - 1) x product and the first subtraction, and far
+    # less for the rest.  Sampled maxima are 1.2-1.4 u: up to 1.6e-9
+    # absolute for x <= 1e6, 2.7e-8 for x <= 1e7 and 3.0e-7 for x <= 1e8.
+    import mpmath
+    rng = np.random.default_rng(2024)
+    xs = np.concatenate([10.0 ** rng.uniform(0, 8, 300),
+                         rng.uniform(9e7, 1e8, 100),
+                         np.floor(10.0 ** rng.uniform(0, 8, 100)), [1e8]])
+    with mpmath.workprec(200):
+        c = 2 * mpmath.euler - 1
+        for x in map(float, xs):
+            exact = summatory_D(math.floor(x)) - (
+                mpmath.mpf(x) * mpmath.log(x) + c * x)
+            u = math.ulp(max(x * math.log(x), x))
+            assert abs(delta(x) - exact) <= 2 * u, x
+
+
 def test_delta_changes_sign():
     vals = [delta(x) for x in np.linspace(1.5, 10_000, 4001)]
     assert min(vals) < 0 < max(vals)

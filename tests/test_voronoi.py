@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,37 @@ def test_lambda_special_values():
     assert lambda_kernel(math.pi) == pytest.approx(-2 / math.pi**2, rel=1e-12)
     assert lambda_kernel(2 * math.pi) == pytest.approx(1 / (2 * math.pi**2),
                                                        rel=1e-12)
+
+
+def _lambda_masked(x):
+    """lambda_kernel before the in-place pass: each branch evaluated on the
+    entries it owns, gathered and scattered by the |x| < 1e-3 mask."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    out = np.empty_like(arr)
+    small = np.abs(arr) < 1e-3
+    xs = arr[small]
+    out[small] = (1.0 / 3.0) - xs * xs / 10.0 + xs**4 / 168.0
+    xl = arr[~small]
+    sl, cl = np.sin(xl), np.cos(xl)
+    out[~small] = sl / xl + 2.0 * cl / xl**2 - 2.0 * sl / xl**3
+    return out
+
+
+def test_lambda_bitwise_equals_masked_kernel():
+    edge = [1e-3, np.nextafter(1e-3, 0.0), np.nextafter(1e-3, 1.0)]
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([
+        [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-160, -1e-160],
+        edge, np.negative(edge),
+        [-1e5, -3.7e7, -1e100, -1e110, 1e110],
+        rng.uniform(-1e-2, 1e-2, 200), -(10.0 ** rng.uniform(-2, 8, 500)),
+        10.0 ** rng.uniform(-2, 8, 500)])
+    with np.errstate(all="ignore"):  # the masked cube overflows at 1e110
+        want = _lambda_masked(xs)
+    got = lambda_kernel(xs)
+    assert got.tobytes() == want.tobytes()
+    for x, y in zip(xs, want):
+        assert lambda_kernel(float(x)) == y
 
 
 def test_lambda_branch_consistency():
@@ -168,13 +200,59 @@ def test_spectral_split_consistency(table_2e4):
     assert (split.term_count_lower + split.term_count_upper) == 64 * 64
 
 
-def test_spectral_threads_deterministic(table_2e4):
-    theta = theta_parse("golden")
-    params = SpectralParams.default(400.0)
-    a = spectral_j(theta, params, table_2e4, threads=1)
-    b = spectral_j(theta, params, table_2e4, threads=4)
-    assert a.J_total == b.J_total
-    assert a.D_lower == b.D_lower
+def _spectral_rows_oracle(theta, params, table):
+    """spectral_j as it was before its rows shared buffers: each row builds
+    u and its terms afresh, with the masked kernel, one row at a time in m
+    order.  Returns (J_total, D_lower, D_upper, count_lower, count_upper)."""
+    X, N, T = params.X, params.N, params.T
+    th = float(theta)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    coef = table.counts[1:N + 1] / n**0.75
+    sqrt_n = np.sqrt(n)
+    sX = math.sqrt(X)
+    lo, hi, count = [], [], 0
+    for m in range(1, N + 1):
+        u = (4.0 * math.pi * (math.sqrt(m * th) - sqrt_n)) * sX
+        t = coef[m - 1] * coef * _lambda_masked(u)
+        mask = np.abs(u) <= T
+        lo.append(float(np.sum(t, where=mask)) if mask.any() else 0.0)
+        hi.append(float(np.sum(t, where=~mask)) if (~mask).any() else 0.0)
+        count += int(mask.sum())
+    pref = X**1.5 / (2.0 * math.pi**2)
+    d_lower, d_upper = pref * math.fsum(lo), pref * math.fsum(hi)
+    return d_lower + d_upper, d_lower, d_upper, count, N * N - count
+
+
+def test_spectral_j_equals_row_oracle(table_2e4):
+    # N = 89 is prime, so with 2 or 3 workers the rows split unevenly;
+    # rat:1/1 has u == 0 on its diagonal (the Taylor branch)
+    N = 89
+    for spec in ("surd:2", "taubeta:2/1:4", "rat:1/1"):
+        theta = theta_parse(spec)
+        for T in (math.inf, 30.0):
+            params = SpectralParams(X=400.0, N=N, T=T)
+            want = _spectral_rows_oracle(theta, params, table_2e4)
+            if T < math.inf:
+                assert 0 < want[3] < N * N, spec
+            for threads in (1, 2, 3):
+                rep = spectral_j(theta, params, table_2e4, threads=threads)
+                got = (rep.J_total, rep.D_lower, rep.D_upper,
+                       rep.term_count_lower, rep.term_count_upper)
+                assert got == want, (spec, T, threads)
+
+
+def test_no_runtime_warning_from_kernel_or_pool(table_2e4):
+    # the direct formula divides by zero and overflows below the switch
+    # before the Taylor branch overwrites those entries; pool threads have
+    # their own numpy error state, so the kernel must set it itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lambda_kernel(np.array([0.0, 5e-324, -1e-300, 1e-160, 1e-3, -7.5]))
+        lambda_kernel(0.0)
+        lambda_kernel(-1e-300)
+        spectral_j(theta_parse("rat:1/1"),
+                   SpectralParams(X=400.0, N=89, T=30.0), table_2e4,
+                   threads=2)
 
 
 def test_spectral_params_default_with_psi():
