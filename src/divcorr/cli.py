@@ -110,13 +110,13 @@ def cmd_cf(cfg: RunConfig, args) -> int:
     if args.construct:
         theta = theta_parse(args.construct)
         if isinstance(theta, TauBetaTheta):
-            num = construct_tau_beta(theta.a, theta.b, theta.depth)
+            t = construct_tau_beta(theta.a, theta.b, theta.depth)
             _emit("beta,depth,value,tail_log2")
-            _emit(f"{num.a}/{num.b},{num.depth},{_fmt(num.value(cfg.precision_bits))},"
-                  f"{_fmt(num.tail_log2)}")
+            _emit(f"{t.a}/{t.b},{t.depth},{_fmt(t.value(cfg.precision_bits))},"
+                  f"{_fmt(t.tail_log2(t.depth))}")
             _emit("term,exponent")
-            for i, e in enumerate(num.exponents, 1):
-                _emit(f"{i},{e}")
+            for i in range(1, t.depth + 1):
+                _emit(f"{i},{t.tower(i)}")
             return EXIT_OK
         if isinstance(theta, JarnikTheta):
             if theta.truncated is not None:
@@ -124,8 +124,7 @@ def cmd_cf(cfg: RunConfig, args) -> int:
             psi, cf = theta.psi, theta.cf
             _print_cf_table(cfg, theta, cf)
             # a-posteriori approximability of the constructed convergents:
-            # ||m_k theta|| < 1/m_{k+1} <= 1/psi(m_k) for k >= 2; for the
-            # last index m_{k+1} is bounded below by psi(m_k) by construction
+            # ||m_k theta|| < 1/m_{k+1} <= 1/psi(m_k) for k >= 2
             _emit("k,m_k,log2_m_next,log2_psi_mk,target_met")
             convs = convergents(cf)
             for k in range(2, len(convs)):
@@ -133,9 +132,11 @@ def cmd_cf(cfg: RunConfig, args) -> int:
                     l2n = math.log2(convs[k + 1].m)
                     l2p, met = _psi_target(psi, convs[k].m, convs[k + 1].m)
                 else:
+                    # m_{k+1} is unbuilt: the construction makes it at least
+                    # max(psi(m_k), m_k), so the target holds by construction
                     l2p = psi.log2(convs[k].m)
                     l2n = max(l2p, math.log2(convs[k].m))
-                    met = l2n >= l2p
+                    met = True
                 _emit(f"{k},{convs[k].m},{_fmt(l2n)},{_fmt(l2p)},{met}")
             return EXIT_OK
         raise ValueError(f"unknown constructor {theta.spec!r} (taubeta/jarnik)")

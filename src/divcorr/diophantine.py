@@ -19,8 +19,8 @@ import mpmath
 
 from .errors import (ConstructionInfeasible, PrecisionExhausted,
                      ThetaParseError)
-from .realfield import (PsiFunction, log2_fraction, log2_ratio, psi_parse,
-                        sqrt_const, to_fraction)
+from .realfield import (PsiFunction, fraction_to_mpf, log2_fraction,
+                        log2_ratio, psi_parse, sqrt_const, to_fraction)
 
 _INF = math.inf
 
@@ -162,17 +162,10 @@ def _escalating_enclosures(theta: Theta, bits: int):
     """Yield theta's best enclosure at bits, 4 bits, 16 bits, ...
 
     Requests are capped at _MAX_EXPAND_BITS, and the last one is the first
-    that reaches min(max_enclosure_bits(), _MAX_EXPAND_BITS).  A request
-    that fails with a partial Enclosure yields the partial."""
+    that reaches min(max_enclosure_bits(), _MAX_EXPAND_BITS)."""
     cap = min(theta.max_enclosure_bits(), _MAX_EXPAND_BITS)
     while True:
-        try:
-            enc = theta.best_enclosure(bits)
-        except PrecisionExhausted as e:
-            if not isinstance(e.partial, Enclosure):
-                raise
-            enc = e.partial
-        yield enc
+        yield theta.best_enclosure(bits)
         if bits >= cap:
             return
         bits = min(bits * 4, _MAX_EXPAND_BITS)
@@ -234,6 +227,10 @@ class Theta:
     spec: str = ""
 
     def enclosure(self, bits: int) -> Enclosure:
+        """The tightest enclosure the spec's data supports, and one at least
+        `bits` bits tight when the data allows.  It never raises for lack of
+        data: the callers that need a given accuracy raise
+        PrecisionExhausted."""
         raise NotImplementedError
 
     def max_enclosure_bits(self) -> float:
@@ -249,9 +246,7 @@ class Theta:
 
     def value(self, bits: int = 256) -> mpmath.mpf:
         """Floating value at up to `bits` precision (best effort)."""
-        enc = self.best_enclosure(bits)
-        with mpmath.workprec(max(bits, 53)):
-            return mpmath.mpf(enc.anchor.numerator) / enc.anchor.denominator
+        return fraction_to_mpf(self.best_enclosure(bits).anchor, max(bits, 53))
 
     def __float__(self) -> float:
         """The one double that every float path uses for theta: its
@@ -337,14 +332,8 @@ class CFLiteralTheta(Theta):
     def enclosure(self, bits: int) -> Enclosure:
         """The last convergent c_K; theta lies above it for even K, below
         for odd K."""
-        err = self._tail_log2()
         side = 1 if (len(self._convs) - 1) % 2 == 0 else -1
-        enc = Enclosure(self._convs[-1].as_fraction(), err, side)
-        if bits > -err:
-            raise PrecisionExhausted(
-                f"{len(self.cf)} quotients resolve theta only to "
-                f"~{-err:.4g} bits", partial=enc)
-        return enc
+        return Enclosure(self._convs[-1].as_fraction(), self._tail_log2(), side)
 
     def max_enclosure_bits(self) -> float:
         return -self._tail_log2()
@@ -427,16 +416,9 @@ class TauBetaTheta(Theta):
         return -lt if lt < 1e15 else -_INF
 
     def enclosure(self, bits: int) -> Enclosure:
-        d = 1
-        dmax = self.max_depth()
-        while self.tail_log2(d) > -bits:
+        d, dmax = 1, self.max_depth()
+        while d < dmax and self.tail_log2(d) > -bits:
             d += 1
-            if d > dmax:
-                raise PrecisionExhausted(
-                    f"series resolves theta only to "
-                    f"~{-self.tail_log2(dmax):.4g} bits",
-                    partial=Enclosure(self.partial_sum(dmax),
-                                      self.tail_log2(dmax), 1))
         return Enclosure(self.partial_sum(d), self.tail_log2(d), 1)
 
     def max_enclosure_bits(self) -> float:
@@ -445,9 +427,7 @@ class TauBetaTheta(Theta):
 
     def value(self, bits: int = 256) -> mpmath.mpf:
         d = min(self.depth, self.max_depth())
-        p = self.partial_sum(d)
-        with mpmath.workprec(max(bits, 53)):
-            return mpmath.mpf(p.numerator) / p.denominator
+        return fraction_to_mpf(self.partial_sum(d), max(bits, 53))
 
 
 class JarnikTheta(CFLiteralTheta):
@@ -494,10 +474,6 @@ class DecimalTheta(Theta):
         self.spec = f"dec:{digits}"
 
     def enclosure(self, bits: int) -> Enclosure:
-        if bits > -self._err:
-            raise PrecisionExhausted(
-                f"decimal literal resolves theta only to ~{-self._err:.0f} bits",
-                partial=Enclosure(self.exact, self._err, 0))
         return Enclosure(self.exact, self._err, 0)
 
     def max_enclosure_bits(self) -> float:
@@ -625,17 +601,13 @@ def nearest_distance(theta: Theta, m: int) -> mpmath.mpf:
     """||m * theta||, the distance from m*theta to the nearest integer.
 
     Certified from the spec's exact data to ~12 significant digits; returns
-    an mpf (values such as 2^-65520 underflow a double).  1/2 is returned
-    exactly at a midpoint tie.
+    an mpf (values such as 2^-65520 underflow a double).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     _require_irrational(theta, "nearest_distance")
     d, _ = _resolve_distance(theta, m)
-    if d == Fraction(1, 2):
-        return mpmath.mpf("0.5")
-    with mpmath.workprec(96):
-        return mpmath.mpf(d.numerator) / d.denominator
+    return fraction_to_mpf(d, 96)
 
 
 def legendre_is_convergent(theta: Theta, n: int, m: int) -> bool:
@@ -739,10 +711,7 @@ class ApproximationEvent:
 
     @property
     def dist(self) -> mpmath.mpf:
-        with mpmath.workprec(96):
-            if self.d == 0:
-                return mpmath.mpf(0)
-            return mpmath.mpf(self.d.numerator) / self.d.denominator
+        return fraction_to_mpf(self.d, 96)
 
     @property
     def threshold(self) -> mpmath.mpf:
@@ -909,32 +878,14 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TauBetaNumber:
-    """Exact data for a truncated tau_beta series: the tower exponents, the
-    partial sum, and a log2 bound on the omitted tail."""
+def construct_tau_beta(a: int, b: int, depth: int) -> TauBetaTheta:
+    """The series 1/beta^{t_1} + 1/beta^{t_2} + ... with beta = a/b > 1 in
+    lowest terms and tower exponents t_1 = 1, t_{i+1} = a^{t_i}, truncated
+    at `depth` terms: its tower(i), partial_sum(depth) and tail_log2(depth)
+    are exact data.
 
-    a: int
-    b: int
-    depth: int
-    exponents: tuple
-    partial: Fraction
-    tail_log2: float
-
-    def value(self, bits: int = 256) -> mpmath.mpf:
-        with mpmath.workprec(max(bits, 53)):
-            return mpmath.mpf(self.partial.numerator) / self.partial.denominator
-
-    def theta(self) -> TauBetaTheta:
-        return TauBetaTheta(self.a, self.b, self.depth)
-
-
-def construct_tau_beta(a: int, b: int, depth: int) -> TauBetaNumber:
-    """Partial sum of 1/beta^{t_1} + 1/beta^{t_2} + ... with beta = a/b > 1
-    in lowest terms and tower exponents t_1 = 1, t_{i+1} = a^{t_i}.
-
-    Exact rational arithmetic throughout; raises PrecisionExhausted reporting
-    the max safe depth when a tower exponent outgrows the budget.
+    Raises PrecisionExhausted reporting the max safe depth when the partial
+    sum at `depth` outgrows the bit budget.
     """
     theta = TauBetaTheta(a, b, depth)
     dmax = theta.max_depth()
@@ -942,10 +893,7 @@ def construct_tau_beta(a: int, b: int, depth: int) -> TauBetaNumber:
         raise PrecisionExhausted(
             f"depth {depth} exceeds the bit budget; max safe depth is {dmax}",
             last_certified=dmax)
-    exps = tuple(theta.tower(i) for i in range(1, depth + 1))
-    return TauBetaNumber(a=a, b=b, depth=depth, exponents=exps,
-                         partial=theta.partial_sum(depth),
-                         tail_log2=theta.tail_log2(depth))
+    return theta
 
 
 def construct_jarnik(psi: PsiFunction, K: int) -> ContinuedFraction:

@@ -4,8 +4,10 @@
 class PrecisionExhausted(ArithmeticError):
     """Raised when a computation cannot be certified within its precision budget.
 
-    Recoverable: carries whatever prefix of the result was certified before
-    the budget ran out.
+    Recoverable: `partial` carries whatever prefix of the result was
+    certified before the budget ran out, such as a ContinuedFraction or a
+    list of hits.  It is never an Enclosure: a theta spec returns the
+    enclosure its data supports, and only the callers that need more raise.
     """
 
     def __init__(self, message, last_certified=None, partial=None):

@@ -63,6 +63,13 @@ def to_fraction(x) -> Fraction:
     return -val if sign else val
 
 
+def fraction_to_mpf(f: Fraction, bits: int) -> mpmath.mpf:
+    """f at `bits` bits: the numerator rounded to an mpf, then divided by the
+    denominator, both under workprec(bits)."""
+    with mpmath.workprec(bits):
+        return mpmath.mpf(f.numerator) / f.denominator
+
+
 def log2_fraction(f: Fraction) -> float:
     """log2 of a positive Fraction, good to ~1e-12 even for huge entries."""
     if f <= 0:
@@ -106,11 +113,11 @@ class PsiFunction:
     """
 
     def __init__(self, kind: str, param: Fraction | None = None,
-                 inner: "PsiFunction | None" = None, text: str | None = None):
+                 inner: "PsiFunction | None" = None, *, text: str):
         self.kind = kind
         self.param = param
         self.inner = inner
-        self.text = text if text is not None else self._render()
+        self.text = text
         # whether exact_pair gives psi(m) = P/Q at every integer m; decided
         # here so callers can branch on it without building the pair
         self.has_exact_pair = (kind == "exp"
@@ -123,15 +130,6 @@ class PsiFunction:
             a, b = param.numerator, param.denominator
             with mpmath.workprec(a.bit_length() + b.bit_length() + 64):
                 self._log2_base = float(mpmath.log(mpmath.mpf(a) / b, 2))
-
-    def _render(self) -> str:
-        if self.kind == "pow":
-            return f"pow:{self.param}"
-        if self.kind == "exp":
-            return f"exp:{self.param}"
-        if self.kind == "expexp":
-            return "expexp"
-        return f"scale:{self.param}:{self.inner.text}"
 
     def __repr__(self):
         return f"PsiFunction({self.text!r})"

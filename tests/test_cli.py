@@ -119,6 +119,21 @@ def test_correlate_csv_and_fit(capsys):
     assert any(l.startswith("fit_slope,") for l in lines)
 
 
+def test_correlate_coarse_decimal_literal(capsys):
+    # dec:2 is trusted only to +-1, yet its double is its written value, so
+    # its rows are those of dec:2.0 but for the theta_spec column
+    rows = {}
+    for spec in ("dec:2", "dec:2.0"):
+        code, out, _ = run(capsys, "--threads", "1", "correlate", "--theta",
+                           spec, "--xmin", "1e3", "--xmax", "1e4",
+                           "--points", "3")
+        assert code == 0
+        rows[spec] = [line.split(",") for line in out.splitlines()[2:]]
+    assert [r[0] for r in rows["dec:2"]] == ["dec:2"] * 3
+    assert ([r[1:] for r in rows["dec:2"]]
+            == [r[1:] for r in rows["dec:2.0"]])
+
+
 def test_correlate_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "correlate", "--theta",
                        "surd:2", "--xmin", "100", "--xmax", "1000",

@@ -19,6 +19,8 @@ GOLDEN = [
      "da69ec3c1ebd7a1b86b4a40dd7cf73589733ce3f5c1a6a998aef375fb65c0f46"),
     ("cf --construct taubeta:2/1:4",
      "8d3d47c37196d3009273db7c9142f6188c890f49758a1d52933fa4f6713fef50"),
+    ("cf --construct taubeta:3/2:3",
+     "9b5fd14ad0c3a2a880dbd091b1c25b1b03011b5c28f4eda1dd18048cfdc7ddf1"),
     ("cf --construct jarnik:expexp:6",
      "67b778d9a4afb856e6e8ab8f96ee059cc1da2830f95b0341d2aa9d679fcd0b1c"),
     ("correlate --theta rat:2/1 --xmin 1e3 --xmax 1e5 --points 8 --fit",

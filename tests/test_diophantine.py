@@ -222,6 +222,33 @@ def test_enclosure_escalation_schedule(call, start):
     assert th.requests == [b for b in full if b < 1000] + [1000]
 
 
+_CF40 = "cf:[0;" + ",".join(str(k % 5 + 1) for k in range(39)) + "]"
+
+
+@pytest.mark.parametrize("spec,anchor,log2_err,side", [
+    ("dec:2", Fraction(2), 0.0, 0),
+    ("dec:1.5", Fraction(3, 2), -3.321928094887362, 0),
+    ("cf:[1;1]", Fraction(2), -1.0, -1),
+    (_CF40, Fraction(2103775321029945751, 3015017179644356985),
+     -123.07550630322984, -1),
+    ("jarnik:exp:3:4",
+     Fraction(27043799000610679993079130413290271109315,
+              35917545547686059365808220080151141317059), -math.inf, 1),
+    ("taubeta:2/1:4", Fraction(53249, 65536), -65535.0, 1),
+    ("taubeta:3/2:3", Fraction(7343302166234, 7625597484987),
+     -4460688574309.954, 1),
+], ids=["dec:2", "dec:1.5", "cf:[1;1]", "cf40", "jarnik:exp:3:4",
+        "taubeta:2/1:4", "taubeta:3/2:3"])
+def test_best_enclosure_returns_what_the_data_supports(spec, anchor, log2_err,
+                                                        side):
+    # a request beyond the data (4x the cap, or 4096 bits when the cap is
+    # infinite) gets the tightest enclosure the data holds, without raising
+    theta = dio.theta_parse(spec)
+    cap = theta.max_enclosure_bits()
+    bits = 4096 if cap == math.inf else int(4 * cap)
+    assert theta.best_enclosure(bits) == dio.Enclosure(anchor, log2_err, side)
+
+
 def test_legendre_predicate_examples():
     pi = dio.DecimalTheta("3.14159265358979323846264338327950288")
     assert dio.legendre_is_convergent(pi, 22, 7)  # |22 - 7 pi| ~ 0.0089 < 1/14
@@ -753,10 +780,10 @@ def test_compare_matches_fraction_oracle(case):
 
 
 def test_construct_tau_beta_dyadic():
-    num = dio.construct_tau_beta(2, 1, 4)
-    assert num.partial == Fraction(53249, 65536)
-    assert float(num.value(64)) == 0.8125152587890625
-    assert num.exponents == (1, 2, 4, 16)
+    theta = dio.construct_tau_beta(2, 1, 4)
+    assert theta.partial_sum(4) == Fraction(53249, 65536)
+    assert float(theta.value(64)) == 0.8125152587890625
+    assert [theta.tower(i) for i in range(1, 5)] == [1, 2, 4, 16]
 
 
 def test_construct_tau_beta_depth1():
@@ -764,8 +791,8 @@ def test_construct_tau_beta_depth1():
 
 
 def test_construct_tau_beta_exponent_towers():
-    num = dio.construct_tau_beta(3, 2, 3)
-    assert num.exponents == (1, 3, 27)
+    theta = dio.construct_tau_beta(3, 2, 3)
+    assert [theta.tower(i) for i in range(1, 4)] == [1, 3, 27]
 
 
 def test_construct_tau_beta_depth_budget():
