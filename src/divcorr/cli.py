@@ -23,7 +23,7 @@ from .diophantine import (ContinuedFraction, JarnikTheta, TauBetaTheta, Theta,
 from .divisor import delta, sieve_tau
 from .errors import (ConstructionInfeasible, PrecisionExhausted, PsiParseError,
                      ResourceLimit, ThetaParseError)
-from .realfield import _fmt, log2_ratio, psi_parse
+from .realfield import _fmt, _fmt_int, log2_ratio, psi_parse
 from .voronoi import q_n
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def _print_cf_table(cfg: RunConfig, theta: Theta | None, cf: ContinuedFraction):
                 dist = _fmt(nearest_distance(theta, c.m))
             except PrecisionExhausted:
                 dist = "unresolved"
-        _emit(f"{c.k},{ak},{c.n},{c.m},{dist}")
+        _emit(f"{c.k},{_fmt_int(ak)},{_fmt_int(c.n)},{_fmt_int(c.m)},{dist}")
 
 
 def _psi_target(psi, m: int, m_next: int) -> tuple[float, bool]:
@@ -137,7 +137,8 @@ def cmd_cf(cfg: RunConfig, args) -> int:
                     l2p = psi.log2(convs[k].m)
                     l2n = max(l2p, math.log2(convs[k].m))
                     met = True
-                _emit(f"{k},{convs[k].m},{_fmt(l2n)},{_fmt(l2p)},{met}")
+                _emit(f"{k},{_fmt_int(convs[k].m)},{_fmt(l2n)},{_fmt(l2p)},"
+                      f"{met}")
             return EXIT_OK
         raise ValueError(f"unknown constructor {theta.spec!r} (taubeta/jarnik)")
 

@@ -19,8 +19,9 @@ import mpmath
 
 from .errors import (ConstructionInfeasible, PrecisionExhausted,
                      ThetaParseError)
-from .realfield import (PsiFunction, fraction_to_mpf, log2_fraction,
-                        log2_ratio, psi_parse, sqrt_const, to_fraction)
+from .realfield import (PsiFunction, _fmt_int, fraction_to_mpf,
+                        log2_fraction, log2_ratio, psi_parse, sqrt_const,
+                        to_fraction)
 
 _INF = math.inf
 
@@ -533,30 +534,16 @@ def _require_irrational(theta: Theta, op: str):
 # ---------------------------------------------------------------------------
 
 
-def cf_expand(theta, K: int) -> ContinuedFraction:
-    """First K+1 certified partial quotients of theta.
+def cf_expand(theta: Theta, K: int) -> ContinuedFraction:
+    """First K+1 certified partial quotients of the theta spec `theta`.
 
-    theta may be a Theta spec, an mpf/float (trusted to 1 ulp of its own
-    precision), or an exact Fraction.  Raises PrecisionExhausted naming the
-    last certified index when the data cannot pin quotient K.
+    Raises PrecisionExhausted naming the last certified index when the
+    spec's data cannot pin quotient K.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    if isinstance(theta, Theta):
-        _require_irrational(theta, "cf_expand")
-        return theta.continued_fraction(K)
-    if isinstance(theta, Fraction):
-        return _cf_from_enclosure(Enclosure(theta, -_INF, 0), K)
-    # keep the input's own mantissa width: reconstructing through mpmath.mpf
-    # would re-round to the ambient working precision
-    x = theta if hasattr(theta, "_mpf_") else mpmath.mpf(theta)
-    if x <= 0:
-        raise ValueError("theta must be positive")
-    anchor = to_fraction(x)
-    # one ulp: 2**exp, where exp is the mpf's binary exponent of the lsb
-    _, man, exp, _ = x._mpf_
-    err = float(exp) if man else -_INF
-    return _cf_from_enclosure(Enclosure(anchor, err, 0), K)
+    _require_irrational(theta, "cf_expand")
+    return theta.continued_fraction(K)
 
 
 def _dist_from_enclosure(enc: Enclosure, m: int):
@@ -578,13 +565,38 @@ def _resolve_distance(theta: Theta, m: int, rel_bits: int = 40):
         if err == -_INF:
             if d == 0:
                 raise PrecisionExhausted(
-                    f"||{m} * theta|| below representable resolution")
+                    f"||{_fmt_int(m)} * theta|| below representable resolution")
             return d, err
         if d > 0 and err <= log2_fraction(d) - rel_bits:
             return d, err
     raise PrecisionExhausted(
-        f"||{m} * theta|| not resolved at the available precision "
+        f"||{_fmt_int(m)} * theta|| not resolved at the available precision "
         f"(anchor distance {float(d):.4g}, radius 2^{err:.4g})")
+
+
+def _signs(theta: Theta, m: int, qs: tuple, bits: int) -> tuple:
+    """The certified sign (+1 or -1) of m*theta - q for each rational q in
+    `qs`, from one pass of escalating enclosures starting at `bits`.
+
+    An enclosure decides q when its radius m 2^log2_err is at most half of
+    |m*anchor - q| (compared in log2, so the radius is never built), or when
+    q lies at m*anchor or beyond it on the side a one-sided enclosure
+    excludes: then the sign is the enclosure's side.
+    """
+    for enc in _escalating_enclosures(theta, bits):
+        x, radius = m * enc.anchor, enc.log2_err + math.log2(m)
+        out = []
+        for q in qs:
+            diff = x - q
+            if enc.side and diff * enc.side >= 0:
+                out.append(enc.side)
+            elif diff and radius <= log2_fraction(abs(diff)) - 1:
+                out.append(1 if diff > 0 else -1)
+            else:
+                break
+        else:
+            return tuple(out)
+    raise PrecisionExhausted("theta comparison not resolved")
 
 
 def _distance_upper(theta: Theta, m: int) -> Fraction:
@@ -594,7 +606,11 @@ def _distance_upper(theta: Theta, m: int) -> Fraction:
     convergent n/m (distance 0) still gives a bound."""
     *_, enc = _escalating_enclosures(theta, max(96, m.bit_length() + 96))
     d, err = _dist_from_enclosure(enc, m)
-    return d if err == -_INF else d + Fraction(2) ** (math.ceil(err) + 1)
+    if err == -_INF:
+        return d
+    # the radius is widened to at least 2^-_MAX_EXPAND_BITS: u stays an upper
+    # bound, and a Liouville-scale err builds no huge power of 2
+    return d + Fraction(2) ** max(math.ceil(err) + 1, -_MAX_EXPAND_BITS)
 
 
 def nearest_distance(theta: Theta, m: int) -> mpmath.mpf:
@@ -624,19 +640,11 @@ def legendre_is_convergent(theta: Theta, n: int, m: int) -> bool:
 
 
 def _legendre_holds(theta: Theta, n: int, m: int) -> bool:
-    """Certified |n - m*theta| < 1/(2m) for m >= 1, as given (no reduction).
-    Escalates the enclosure until the radius is a bit below the gap."""
-    bound = Fraction(1, 2 * m)
-    for enc in _escalating_enclosures(theta, max(64, 2 * m.bit_length() + 80)):
-        diff = abs(Fraction(n) - m * enc.anchor)
-        radius = enc.log2_err + math.log2(m) if enc.log2_err != -_INF else -_INF
-        gap = abs(diff - bound)
-        if gap == 0:
-            if radius == -_INF:
-                return False  # exactly on the boundary: strict < fails
-        elif radius == -_INF or radius <= log2_fraction(gap) - 1:
-            return diff < bound
-    raise PrecisionExhausted("Legendre test not resolved at available precision")
+    """Certified |n - m*theta| < 1/(2m) for m >= 1, as given (no reduction):
+    m*theta lies above n - 1/(2m) and below n + 1/(2m)."""
+    h = Fraction(1, 2 * m)
+    return _signs(theta, m, (n - h, n + h),
+                  max(64, 2 * m.bit_length() + 80)) == (1, -1)
 
 
 def legendre_hits(theta: Theta, M: int) -> list[int]:
@@ -946,34 +954,6 @@ class InvariantReport:
                 and self.sandwich_ok and self.fibonacci_ok)
 
 
-def _theta_minus(theta: Theta, fr: Fraction):
-    """Certified (sign, |theta - fr| as Fraction interval key): returns a
-    tuple (low, high) of Fractions bracketing theta - fr."""
-    for enc in _escalating_enclosures(theta, 96):
-        diff = enc.anchor - fr
-        if enc.log2_err == -_INF:
-            if diff == 0 and enc.side != 0:
-                # theta sits on the stated side of the anchor; the offset is
-                # below representable resolution, so return a direction marker
-                eps = Fraction(1, 1 << 64)
-                return (Fraction(0), eps) if enc.side > 0 else (-eps, Fraction(0))
-            return diff, diff
-        r = enc.log2_err
-        rad = Fraction(1, 2 ** max(int(-r) - 1, 0)) if r < 0 else Fraction(2) ** int(r + 1)
-        lo = diff - (rad if enc.side <= 0 else 0)
-        hi = diff + (rad if enc.side >= 0 else 0)
-        # sign determined (zero endpoints resolve by irrationality of theta)
-        # and bracket tight enough for magnitude comparisons
-        sign_known = (lo > 0 or hi < 0 or (lo == 0 and hi > 0)
-                      or (hi == 0 and lo < 0))
-        tight = diff == 0 or rad * (1 << 24) <= abs(diff)
-        if sign_known and tight:
-            return lo, hi
-    if sign_known:
-        return lo, hi
-    raise PrecisionExhausted("theta comparison unresolved")
-
-
 def convergent_invariants(theta: Theta, K: int) -> InvariantReport:
     """Check, exactly, the classical identities on the first K+1 convergents:
 
@@ -996,23 +976,22 @@ def convergent_invariants(theta: Theta, K: int) -> InvariantReport:
     sand_checked = 0
     anchored_here = isinstance(theta, CFLiteralTheta)
     top = len(convs) - (3 if anchored_here else 2)
-    for k in range(0, len(convs)):
+    for k, ck in enumerate(convs):
+        c = ck.as_fraction()
+        qs = (c,)
+        if 1 <= k <= top:
+            # the sandwich: B < |theta - c_k| < A
+            A = Fraction(1, ck.m * convs[k + 1].m)
+            B = Fraction(1, ck.m * (convs[k + 1].m + ck.m))
+            qs = (c, c - A, c - B, c + B, c + A)
         try:
-            lo, hi = _theta_minus(theta, convs[k].as_fraction())
+            sg = _signs(theta, 1, qs, 96)
         except PrecisionExhausted:
             continue
-        sign = 1 if (lo > 0 or (lo == 0 and hi > 0)) else \
-            (-1 if (hi < 0 or (hi == 0 and lo < 0)) else 0)
-        want = 1 if k % 2 == 0 else -1
-        if sign != want:
+        if sg[0] != (1 if k % 2 == 0 else -1):
             alt_ok = False
-        if k <= top and k >= 1:
-            mk, mk1 = convs[k].m, convs[k + 1].m
-            below = Fraction(1, mk1 * mk + mk * mk)
-            above = Fraction(1, mk1 * mk)
-            mag_lo, mag_hi = min(abs(lo), abs(hi)), max(abs(lo), abs(hi))
-            if not (below < mag_lo and mag_hi < above):
-                sand_ok = False
+        if len(sg) > 1:
+            sand_ok &= sg[1:] in ((1, -1, -1, -1), (1, 1, 1, -1))
             sand_checked += 1
 
     fib_ok = all(convs[k].m >= fibonacci(k + 1) for k in range(len(convs)))

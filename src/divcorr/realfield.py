@@ -44,6 +44,15 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+#: Python's int -> str conversion refuses integers of more than 4300 digits
+_DECIMAL_LIMIT = 10 ** 4300
+
+
+def _fmt_int(n: int) -> str:
+    """Decimal below 10**4300, 0x hex from there on; int(s, 0) reads both."""
+    return str(n) if abs(n) < _DECIMAL_LIMIT else hex(n)
+
+
 def to_fraction(x) -> Fraction:
     """Exact rational value of a float or mpf (both are dyadic rationals)."""
     if isinstance(x, Fraction):

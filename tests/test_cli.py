@@ -96,6 +96,32 @@ def test_cf_jarnik_log2_psi_above_2_53(capsys):
     assert abs(float(row[3]) - 256.87) < 0.01
 
 
+def test_cf_deep_tau_beta(capsys):
+    # log2_err is about -4.46e12: no radius 2^err may be built
+    code, out, _ = run(capsys, "cf", "--theta", "taubeta:3/2:3", "--terms", "5")
+    assert code == 0
+    assert out.endswith("determinant,True\nalternation,True\nsandwich,True\n"
+                        "fibonacci,True\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cf", "--theta", "taubeta:2/1:5", "--terms", "20"),
+    ("cf", "--construct", "jarnik:pow:3:11"),
+])
+def test_cf_tables_print_huge_integers_in_hex(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    big = 0
+    for line in out.splitlines():
+        for cell in line.split(","):
+            if cell.startswith("0x"):
+                assert int(cell, 0) >= 10**4300
+                big += 1
+            elif cell.isdigit():
+                assert len(cell) <= 4300
+    assert big > 0
+
+
 def test_cf_construct_rejects_plain_theta(capsys):
     code, _, err = run(capsys, "cf", "--construct", "surd:2")
     assert code == 2

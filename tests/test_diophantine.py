@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -50,16 +51,20 @@ def test_golden_expansion():
     assert list(cf.quotients) == [1] * 10
 
 
+#: sqrt 2 to 90 decimals, trusted to 1e-90
+_SQRT2_DEC = ("dec:1.4142135623730950488016887242096980785696718753769480731"
+              "76679737990732478462107038850387534")
+
+
 def test_cf_expand_from_big_real():
-    with mpmath.workprec(300):
-        s2 = mpmath.sqrt(2)
-    cf = dio.cf_expand(s2, 20)
+    cf = dio.cf_expand(dio.theta_parse(_SQRT2_DEC), 20)
     assert list(cf.quotients) == [1] + [2] * 20
 
 
 def test_cf_expand_rational_degenerates():
+    # 22/7 to 15 decimals: the literal's data pins [3; 7] and then runs out
     with pytest.raises(PrecisionExhausted) as ei:
-        dio.cf_expand(mpmath.mpf(22) / 7, 10)
+        dio.cf_expand(dio.theta_parse("dec:3.142857142857143"), 10)
     assert ei.value.last_certified is not None
 
 
@@ -116,6 +121,48 @@ def test_convergent_invariants_classics(spec):
     assert rep.all_ok
     assert rep.sandwich_checked >= 49
     assert rep.fibonacci_all_equal == (spec == "golden")
+
+
+_CF40 = "cf:[0;" + ",".join(str(k % 5 + 1) for k in range(39)) + "]"
+
+#: every InvariantReport field (K, determinant_ok, alternation_ok,
+#: sandwich_ok, sandwich_checked, fibonacci_ok, fibonacci_all_equal), or the
+#: PrecisionExhausted message and last_certified, pinned so that a change
+#: to how the signs are decided shows up
+_INVARIANT_PINS = [
+    ("surd:2", 5, (5, True, True, True, 4, True, False)),
+    ("surd:2", 20, (20, True, True, True, 19, True, False)),
+    ("golden", 5, (5, True, True, True, 4, True, True)),
+    ("golden", 20, (20, True, True, True, 19, True, True)),
+    ("taubeta:2/1:4", 5, (5, True, True, True, 4, True, False)),
+    ("taubeta:2/1:4", 20, ("anchor expansion terminated (rational anchor) "
+                           "after 16 certified quotients", 15)),
+    ("jarnik:pow:3:7", 5, (5, True, True, True, 3, True, False)),
+    ("jarnik:pow:3:7", 20, ("only 8 quotients available", 7)),
+    (_SQRT2_DEC, 5, (5, True, True, True, 4, True, False)),
+    (_SQRT2_DEC, 20, (20, True, True, True, 19, True, False)),
+    (_CF40, 5, (5, True, True, True, 3, True, False)),
+    (_CF40, 20, (20, True, True, True, 18, True, False)),
+]
+
+
+@pytest.mark.parametrize("spec,K,want", _INVARIANT_PINS,
+                         ids=[f"{s[:16]}-{K}" for s, K, _ in _INVARIANT_PINS])
+def test_convergent_invariants_pinned(spec, K, want):
+    try:
+        got = dataclasses.astuple(
+            dio.convergent_invariants(dio.theta_parse(spec), K))
+    except PrecisionExhausted as e:
+        got = (str(e), e.last_certified)
+    assert got == want
+
+
+def test_convergent_invariants_deep_tau_beta():
+    # the enclosure's log2_err is about -4.46e12: every sign is decided in
+    # log2, with no 2^err built
+    rep = dio.convergent_invariants(dio.theta_parse("taubeta:3/2:3"), 5)
+    assert rep.all_ok
+    assert rep.sandwich_checked == 4
 
 
 def test_best_approximation_sqrt2():
@@ -205,8 +252,8 @@ class _Unresolvable(dio.Theta):
     (lambda th: th.continued_fraction(3), 64),
     (lambda th: dio.nearest_distance(th, 1), 97),
     (lambda th: dio.legendre_is_convergent(th, 1, 1), 82),
-    (lambda th: dio._theta_minus(th, Fraction(1)), 96),
-], ids=["continued_fraction", "nearest_distance", "legendre", "theta_minus"])
+    (lambda th: dio._signs(th, 1, (Fraction(1),), 96), 96),
+], ids=["continued_fraction", "nearest_distance", "legendre", "signs"])
 def test_enclosure_escalation_schedule(call, start):
     # x4 per attempt; the last attempt is capped at 2^24 bits, or at the
     # theta's own max_enclosure_bits when that is smaller
@@ -220,9 +267,6 @@ def test_enclosure_escalation_schedule(call, start):
     with pytest.raises(PrecisionExhausted):
         call(th)
     assert th.requests == [b for b in full if b < 1000] + [1000]
-
-
-_CF40 = "cf:[0;" + ",".join(str(k % 5 + 1) for k in range(39)) + "]"
 
 
 @pytest.mark.parametrize("spec,anchor,log2_err,side", [
@@ -453,6 +497,28 @@ def test_legendre_hits_stop_below_an_unknown_convergent():
         dio.legendre_hits(theta, 100)
     assert ei.value.last_certified >= 80
     assert ei.value.partial == [1, 2, 5, 27, 54]
+
+
+def test_legendre_hits_deep_tau_beta():
+    # taubeta:3/2:3 has log2_err about -4.46e12.  The certified expansion
+    # stops at q_K < 10^13, and an unknown q_{K+1} exceeds 1/u - q_K for the
+    # upper bound u on ||q_K theta||.  u adds a radius clamped to
+    # 2^-(2^24), far below the anchor distance d, so 1/u and 1/d give the
+    # same ceiling
+    theta = dio.theta_parse("taubeta:3/2:3")
+    with pytest.raises(PrecisionExhausted) as ei:
+        dio.legendre_hits(theta, 10**13)
+    with pytest.raises(PrecisionExhausted) as cf:
+        dio.cf_expand(theta, 100)
+    convs = dio.convergents(cf.value.partial)
+    qK = convs[-1].m
+    f = qK * theta.best_enclosure(96).anchor % 1
+    d = min(f, 1 - f)
+    assert ei.value.last_certified == max(qK + convs[-2].m - 1,
+                                          math.ceil(1 / d - qK) - 1)
+    assert ei.value.last_certified == 6678264758913
+    assert dio.legendre_hits(theta, ei.value.last_certified) == \
+        ei.value.partial
 
 
 def test_legendre_hits_without_certified_quotients():

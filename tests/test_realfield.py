@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divcorr.errors import PsiParseError
-from divcorr.realfield import (gamma_const, log2_fraction, log2_ratio,
-                               psi_parse, to_fraction)
+from divcorr.realfield import (_fmt_int, gamma_const, log2_fraction,
+                               log2_ratio, psi_parse, to_fraction)
 
 # published digits (independent reference)
 GAMMA_50 = "0.57721566490153286060651209008240243104215933593992"
@@ -20,6 +20,14 @@ def test_gamma_digits():
     assert float(2 * g - 1) == pytest.approx(0.1544313298030657, abs=1e-16)
     g200 = gamma_const(200)
     assert mpmath.nstr(g200, 50) == GAMMA_50
+
+
+def test_fmt_int_switches_to_hex_at_4300_digits():
+    # Python's int -> str conversion stops at 4300 digits
+    assert _fmt_int(10**4300 - 1) == "9" * 4300
+    for n in (10**4300, -10**4300, 3**10000):
+        assert _fmt_int(n) == hex(n) and int(_fmt_int(n), 0) == n
+    assert _fmt_int(-12) == "-12"
 
 
 def test_gamma_precision_monotone():
