@@ -78,18 +78,15 @@ def cmd_delta(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _print_cf_table(cfg: RunConfig, theta: Theta | None, cf: ContinuedFraction):
-    convs = convergents(cf)
+def _print_cf_table(theta: Theta, cf: ContinuedFraction):
     _emit("k,a_k,n_k,m_k,dist_mk_theta")
-    for c in convs:
-        ak = cf.quotients[c.k]
-        dist = ""
-        if theta is not None:
-            try:
-                dist = _fmt(nearest_distance(theta, c.m))
-            except PrecisionExhausted:
-                dist = "unresolved"
-        _emit(f"{c.k},{_fmt_int(ak)},{_fmt_int(c.n)},{_fmt_int(c.m)},{dist}")
+    for c in convergents(cf):
+        try:
+            dist = _fmt(nearest_distance(theta, c.m))
+        except PrecisionExhausted:
+            dist = "unresolved"
+        _emit(f"{c.k},{_fmt_int(cf.quotients[c.k])},{_fmt_int(c.n)},"
+              f"{_fmt_int(c.m)},{dist}")
 
 
 def _psi_target(psi, m: int, m_next: int) -> tuple[float, bool]:
@@ -122,7 +119,7 @@ def cmd_cf(cfg: RunConfig, args) -> int:
             if theta.truncated is not None:
                 _emit(f"# note: {theta.truncated}")
             psi, cf = theta.psi, theta.cf
-            _print_cf_table(cfg, theta, cf)
+            _print_cf_table(theta, cf)
             # a-posteriori approximability of the constructed convergents:
             # ||m_k theta|| < 1/m_{k+1} <= 1/psi(m_k) for k >= 2
             _emit("k,m_k,log2_m_next,log2_psi_mk,target_met")
@@ -159,7 +156,7 @@ def cmd_cf(cfg: RunConfig, args) -> int:
         if e.partial is None:
             return EXIT_PRECISION
         cf = e.partial
-    _print_cf_table(cfg, theta, cf)
+    _print_cf_table(theta, cf)
     rep = convergent_invariants(theta, len(cf) - 1)
     _emit("invariant,ok")
     _emit(f"determinant,{rep.determinant_ok}")
@@ -180,11 +177,10 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
     results = correlate_grid(theta, args.xmin, args.xmax, args.points,
                              threads=cfg.threads)
     fit = fit_exponent(results) if args.fit else None
+    _emit(cfg.header("correlate"))
     if cfg.out_format == "json":
-        _emit(cfg.header("correlate"))
         _emit(results_json(results, fit=fit, psi=psi))
         return EXIT_OK
-    _emit(cfg.header("correlate"))
     header = CSV_HEADER + (",psi_normalized" if psi else "")
     _emit(header)
     for r in results:
@@ -240,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="divcorr",
         description="Divisor error term, Diophantine machinery, and "
                     "correlation experiments")
-    p.add_argument("--precision-bits", type=int,
-                   default=int(os.environ.get("DIVCORR_PRECISION_BITS", "256")))
+    p.add_argument("--precision-bits", type=int, default=256)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    dest="out_format")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diophantine import Theta, theta_parse
-from .divisor import DivisorTable, gauss8_pieces, sieve_tau
+from .divisor import _CHUNK, DivisorTable, gauss8_pieces, sieve_tau
 from .errors import ResourceLimit
 from .exactsum import exact_prefix_sums
 from .realfield import PsiFunction, _fmt
@@ -31,10 +31,6 @@ _MERGE_TOL = 1e-12
 #: O(_CHUNK) memory, so this caps run time, not memory (the tau table up to
 #: theta * X is the one array that grows with X)
 _MAX_PIECES = 60_000_000
-
-#: pieces per integration chunk; chunk sums are reduced in index order, so
-#: the chunk boundaries (global multiples of _CHUNK) fix the output bits
-_CHUNK = 1 << 18
 
 #: samples with |I| below this multiple of X^{3/2} are dropped from fits
 _FIT_FLOOR = 1e-9

@@ -670,7 +670,7 @@ def legendre_hits(theta: Theta, M: int) -> list[int]:
     try:
         cf = cf_expand(theta, K)
     except PrecisionExhausted as e:
-        cf = e.partial if isinstance(e.partial, ContinuedFraction) else None
+        cf = e.partial
     convs = convergents(cf) if cf is not None else []
     limit = 0
     if len(convs) > 1:
@@ -809,21 +809,17 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
         raise ValueError("M must be >= 1")
     _require_irrational(theta, "approximability_scan")
 
-    # crossover: smallest m with psi(m) >= 2M (monotone bisection in log2)
+    # crossover: smallest m <= M with psi(m) >= 2M, else M + 1 (monotone
+    # bisection in log2; lo and hi stand for a miss at 0 and a hit at M + 1)
     target = math.log2(2 * M)
-    if psi.log2(M) < target:
-        m_star = M + 1
-    elif psi.log2(1) >= target:
-        m_star = 1
-    else:
-        lo, hi = 1, M
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if psi.log2(mid) >= target:
-                hi = mid
-            else:
-                lo = mid
-        m_star = hi
+    lo, hi = 0, M + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if psi.log2(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    m_star = hi
 
     events = {}
     certified_to = M
@@ -851,7 +847,7 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
     try:
         cf = cf_expand(theta, _SCAN_CONVERGENTS)
     except PrecisionExhausted as e:
-        cf = e.partial if isinstance(e.partial, ContinuedFraction) else None
+        cf = e.partial
     if cf is not None:
         convs = convergents(cf)
         for c in convs:

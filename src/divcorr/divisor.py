@@ -148,6 +148,13 @@ def _delta_at(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return d[:, None] - x * np.log(x) - TWO_GAMMA_MINUS_1 * x
 
 
+#: Pieces per integration chunk of mean_square and the correlation sweep.
+#: Chunk sums are reduced in index order, and gauss8_pieces makes one gemv
+#: per call, so the chunk boundaries (global multiples of _CHUNK) fix the
+#: output bits.
+_CHUNK = 1 << 18
+
+
 def gauss8_pieces(mid: np.ndarray, half: np.ndarray, d1: np.ndarray,
                   d2: np.ndarray | None = None,
                   theta: float = 1.0) -> np.ndarray:
@@ -224,9 +231,8 @@ def mean_square(X: float, table: DivisorTable | None = None) -> float:
     mid = 0.5 * (left + right)
     half = 0.5 * (right - left)
     chunk_sums = []
-    chunk = 1 << 18
-    for start in range(0, len(left), chunk):
-        stop = min(start + chunk, len(left))
+    for start in range(0, len(left), _CHUNK):
+        stop = min(start + _CHUNK, len(left))
         piece = gauss8_pieces(mid[start:stop], half[start:stop],
                               dvals[start:stop])
         chunk_sums.append(exact_sum(piece))

@@ -164,7 +164,10 @@ class PsiFunction:
         At integer x <= 2**53, and for the pow family at any integer x, a
         finite value v is a few float roundings from the exact one: for
         |v| <= 2**30 the error measured against a 256-bit reference is below
-        2**-20 (tests/test_realfield.py, pow up to x = 2**256).
+        2**-20 (tests/test_realfield.py, pow up to x = 2**256).  For the exp
+        families at integer 2**53 < x < 2**61, v = float(x) * log2(base) is
+        within a relative 2**-50 of the exact value (tested on 3000 random x
+        for each of seven families, also under scale).
         """
         if self.kind == "pow":
             # math.log2 of an int is accurate at any size

@@ -61,40 +61,35 @@ def lambda_kernel(x):
 
 def _osc_series(a: float, s: float, kind: str) -> float:
     """Termwise-integrated Taylor series; accurate for a*s <~ 1 where the
-    antiderivative difference cancels catastrophically (terms ~ 1/a^3)."""
+    antiderivative difference cancels catastrophically (terms ~ 1/a^3).
+
+    With k = 0 for cos and k = 1 for sin, term j integrates
+    (-1)^j a^{2j+k} x^{2j+k+2} / (2j+k)! over [1, s]."""
+    k = 0 if kind == "cos" else 1
     acc = 0.0
     sign = 1.0
-    if kind == "cos":
-        apow, fact = 1.0, 1.0  # a^{2j}, (2j)!
-        for j in range(48):
-            term = sign * apow * (s ** (2 * j + 3) - 1.0) / (fact * (2 * j + 3))
-            acc += term
-            if abs(term) < 1e-18 * abs(acc):
-                break
-            sign = -sign
-            apow *= a * a
-            fact *= (2 * j + 1) * (2 * j + 2)
-    else:
-        apow, fact = a, 1.0  # a^{2j+1}, (2j+1)!
-        for j in range(48):
-            term = sign * apow * (s ** (2 * j + 4) - 1.0) / (fact * (2 * j + 4))
-            acc += term
-            if abs(term) < 1e-18 * abs(acc):
-                break
-            sign = -sign
-            apow *= a * a
-            fact *= (2 * j + 2) * (2 * j + 3)
+    apow, fact = a ** k, 1.0  # a^{2j+k}, (2j+k)!
+    for j in range(48):
+        e = 2 * j + k + 3
+        term = sign * apow * (s ** e - 1.0) / (fact * e)
+        acc += term
+        if abs(term) < 1e-18 * abs(acc):
+            break
+        sign = -sign
+        apow *= a * a
+        fact *= (e - 2) * (e - 1)
     return acc
 
 
 def osc_integral(a: float, X: float, kind: str = "cos") -> float:
     """integral_1^sqrt(X) x^2 trig(a x) dx via the closed-form antiderivative
 
-        int x^2 cos(ax) dx = x^2 sin(ax)/a + 2x cos(ax)/a^2 - 2 sin(ax)/a^3
+        int x^2 trig(ax) dx = x^2 p/a + 2x q/a^2 - 2 p/a^3,
 
-    (and the matching sine form).  For small phase a*sqrt(X) the difference
-    of antiderivatives loses all digits, so a termwise-integrated series is
-    used there.  Requires a > 0.
+    with (p, q) = (sin(ax), cos(ax)) for cos and (-cos(ax), sin(ax)) for
+    sin.  For small phase a*sqrt(X) the difference of antiderivatives loses
+    all digits, so a termwise-integrated series is used there.  Requires
+    a > 0.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -106,14 +101,10 @@ def osc_integral(a: float, X: float, kind: str = "cos") -> float:
     if a * up <= 1.0:
         return _osc_series(a, up, kind)
 
-    if kind == "cos":
-        def F(t):
-            s, c = math.sin(a * t), math.cos(a * t)
-            return t * t * s / a + 2.0 * t * c / a**2 - 2.0 * s / a**3
-    else:
-        def F(t):
-            s, c = math.sin(a * t), math.cos(a * t)
-            return -t * t * c / a + 2.0 * t * s / a**2 + 2.0 * c / a**3
+    def F(t):
+        s, c = math.sin(a * t), math.cos(a * t)
+        p, q = (s, c) if kind == "cos" else (-c, s)
+        return t * t * p / a + 2.0 * t * q / a**2 - 2.0 * p / a**3
     return F(up) - F(1.0)
 
 
@@ -124,6 +115,9 @@ def q_n(x: float, n_terms: int, table: DivisorTable) -> float:
                                      cos(4 pi sqrt(n x) - pi/4)
 
     with the sum correctly rounded (exact_sum).  N = 0 gives the empty sum.
+    The rounded phases dominate the error: it is at most
+    S * 3 * 2^-52 * 4 pi sqrt(N x), where S is the expression above with
+    every cos replaced by 1.
     """
     if x < 1:
         raise ValueError("x must be >= 1")

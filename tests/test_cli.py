@@ -20,6 +20,16 @@ def test_delta_basic(capsys):
     assert "6.0398484" in out
 
 
+def test_precision_bits_comes_from_the_flag_only(capsys, monkeypatch):
+    # every stdout header carries precision_bits; no environment variable
+    # may change it behind the flag
+    monkeypatch.setenv("DIVCORR_PRECISION_BITS", "128")
+    _, out, _ = run(capsys, "delta", "--x", "2")
+    assert " precision_bits=256 " in out.splitlines()[0]
+    _, out, _ = run(capsys, "--precision-bits", "128", "delta", "--x", "2")
+    assert " precision_bits=128 " in out.splitlines()[0]
+
+
 def test_delta_with_voronoi(capsys):
     code, out, _ = run(capsys, "delta", "--x", "100.5", "--voronoi-n", "4000")
     assert code == 0

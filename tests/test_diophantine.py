@@ -619,6 +619,40 @@ def test_scan_includes_convergent_near_misses():
         assert e.hit == (e.dist < e.threshold)
 
 
+def _crossover_prechecked(psi, M):
+    """The scan's crossover m* before it became one bisection over
+    [0, M + 1]: psi(M) and psi(1) checked first, then [1, M] bisected."""
+    target = math.log2(2 * M)
+    if psi.log2(M) < target:
+        return M + 1
+    if psi.log2(1) >= target:
+        return 1
+    lo, hi = 1, M
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if psi.log2(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_scan_crossover_matches_prechecked_bisection():
+    theta = dio.theta_parse("golden")
+    seen = set()
+    for spec in ("pow:1", "pow:1/2", "pow:3", "scale:1000:pow:1", "exp:1.5",
+                 "scale:1/1000:exp:2", "scale:64:exp:2", "expexp"):
+        psi = psi_parse(spec)
+        for M in (1, 2, 3, 4, 5, 31, 32, 33, 100, 500, 1000):
+            m_star = _crossover_prechecked(psi, M)
+            want = m_star if m_star <= M else None
+            got = dio.approximability_scan(theta, psi, M).fast_path_from
+            assert got == want, (spec, M)
+            seen.add("none" if want is None else "one" if m_star == 1
+                     else "inside")
+    assert seen == {"one", "inside", "none"}
+
+
 # Pinned scans: the SHA-256 of every event (m, hit, is_convergent, dist,
 # threshold) and certified_to, recorded before the log2 screen and the
 # integer cross-multiplication replaced the Fraction comparison.

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -267,3 +268,22 @@ def test_psi_log2_measured_error(text, ms):
         assert abs(ref) <= 2**30
         with mpmath.workprec(256):
             assert abs(psi.log2(m) - ref) <= _LOG2_TOL, m
+
+
+@pytest.mark.parametrize("text", [
+    "exp:3", "exp:3/2", "exp:11/10", "exp:1.0001", "exp:1000", "exp:2",
+    "scale:1/1000:exp:2"])
+def test_psi_log2_exp_above_2_53_relative_error(text):
+    # above 2**53 an exp family returns float(x) * log2(base) for x < 2**61:
+    # three roundings (x, the log, the product); the worst of these samples
+    # is 1.04 * 2**-52.  These values lie far outside the +-2**30 range of
+    # the scan's log2 screen.
+    psi = psi_parse(text)
+    rng = random.Random(text)
+    worst = 0.0
+    for _ in range(3000):
+        m = rng.randrange(2**53 + 1, 2**61)
+        ref = _psi_ref_log2(text, m)
+        with mpmath.workprec(256):
+            worst = max(worst, float(abs(psi.log2(m) - ref) / abs(ref)))
+    assert worst <= 2**-50

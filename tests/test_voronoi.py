@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,72 @@ def test_osc_integral_magnitude_bound():
                 assert abs(osc_integral(a, X, kind)) * a / X**2 <= 4.0
 
 
+def _osc_series_twins(a, s, kind):
+    """The series of osc_integral before cos and sin shared one loop."""
+    acc = 0.0
+    sign = 1.0
+    if kind == "cos":
+        apow, fact = 1.0, 1.0  # a^{2j}, (2j)!
+        for j in range(48):
+            term = sign * apow * (s ** (2 * j + 3) - 1.0) / (fact * (2 * j + 3))
+            acc += term
+            if abs(term) < 1e-18 * abs(acc):
+                break
+            sign = -sign
+            apow *= a * a
+            fact *= (2 * j + 1) * (2 * j + 2)
+    else:
+        apow, fact = a, 1.0  # a^{2j+1}, (2j+1)!
+        for j in range(48):
+            term = sign * apow * (s ** (2 * j + 4) - 1.0) / (fact * (2 * j + 4))
+            acc += term
+            if abs(term) < 1e-18 * abs(acc):
+                break
+            sign = -sign
+            apow *= a * a
+            fact *= (2 * j + 2) * (2 * j + 3)
+    return acc
+
+
+def _osc_integral_twins(a, X, kind):
+    """osc_integral before cos and sin shared one antiderivative."""
+    up = math.sqrt(X)
+    if a * up <= 1.0:
+        return _osc_series_twins(a, up, kind)
+    if kind == "cos":
+        def F(t):
+            s, c = math.sin(a * t), math.cos(a * t)
+            return t * t * s / a + 2.0 * t * c / a**2 - 2.0 * s / a**3
+    else:
+        def F(t):
+            s, c = math.sin(a * t), math.cos(a * t)
+            return -t * t * c / a + 2.0 * t * s / a**2 + 2.0 * c / a**3
+    return F(up) - F(1.0)
+
+
+def test_osc_integral_bitwise_equals_twins():
+    # random phases on both sides of a sqrt(X) = 1 (series and closed
+    # form), and the three doubles a nearest the switch at four X
+    rng = np.random.default_rng(17)
+    a = 10.0 ** rng.uniform(-4, 3, 4000)
+    X = 10.0 ** rng.uniform(0, 8, 4000)
+    cases = list(zip(a.tolist(), X.tolist()))
+    for X in (1.0, 4.0, 1e4, 1e8):
+        at = 1.0 / math.sqrt(X)
+        cases += [(at, X), (math.nextafter(at, 0.0), X),
+                  (math.nextafter(at, 2.0), X)]
+    series = closed = 0
+    for a, X in cases:
+        if a * math.sqrt(X) <= 1.0:
+            series += 1
+        else:
+            closed += 1
+        for kind in ("cos", "sin"):
+            got, want = osc_integral(a, X, kind), _osc_integral_twins(a, X, kind)
+            assert got.hex() == want.hex(), (a, X, kind)
+    assert series > 500 and closed > 500
+
+
 def test_kernel_integral_identity():
     # Lambda(a sqrt X) = X^{-3/2} int_1^{sqrt X} x^2 cos(ax) dx + Lambda(a) X^{-3/2}
     rng = np.random.default_rng(11)
@@ -150,6 +217,38 @@ def test_qn_rms_decay(table_2e4):
         errs = [q_n(float(x), N, table_2e4) - delta(float(x)) for x in xs]
         rms[N] = math.sqrt(sum(e * e for e in errs) / len(errs))
     assert rms[4000] < rms[2000] <= rms[1000]
+
+
+def _qn_oracle(x, N, table):
+    """(Q_N(x), S) at 120 bits for the same double x and N, where
+    S = x^{1/4}/(sqrt2 pi) sum_{n <= N} tau(n) n^{-3/4} bounds |Q_N(x)|."""
+    with mpmath.workprec(120):
+        X = mpmath.mpf(x)
+        total = scale = mpmath.mpf(0)
+        for n in range(1, N + 1):
+            coef = int(table.counts[n]) * mpmath.power(n, mpmath.mpf(-0.75))
+            total += coef * mpmath.cos(4 * mpmath.pi * mpmath.sqrt(n * X)
+                                       - mpmath.pi / 4)
+            scale += coef
+        pref = X ** 0.25 / (mpmath.sqrt(2) * mpmath.pi)
+        return pref * total, pref * scale
+
+
+@pytest.mark.parametrize("lo,hi,N,k", [(0, 3, 1000, 4), (3, 6, 1000, 4),
+                                       (11, 12, 10_000, 1)])
+def test_qn_float_error_bound(lo, hi, N, k, table_2e4):
+    # the rounded phase 4 pi sqrt(n x) carries the error: per term at most
+    # 3.9 u of it, cos and the coefficient add below 1 u of it (it is at
+    # least 4 pi), and the correctly rounded sum and the prefactor add less,
+    # so |q_n - Q_N| <= S * 3 * 2^-52 * 4 pi sqrt(N x) with u = 2^-53.
+    # Measured worst err / S: 3.8e-14 on [1, 1e3] and 9.2e-13 on [1e3, 1e6]
+    # at N = 1e3, 1.4e-9 on [1e11, 1e12] at N = 1e4; that is c <= 0.015
+    # (README).
+    rng = np.random.default_rng(lo)
+    for x in (10.0 ** rng.uniform(lo, hi, k)).tolist():
+        want, S = _qn_oracle(x, N, table_2e4)
+        bound = S * 3 * 2.0**-52 * 4 * math.pi * math.sqrt(N * x)
+        assert abs(q_n(x, N, table_2e4) - want) <= bound, x
 
 
 # --- spectral sum --------------------------------------------------------------
