@@ -118,6 +118,13 @@ def _breakpoint_windows(th: float, Xmax: float, grid: np.ndarray):
         a, n, g = b, n_end, g_end
 
 
+def _d_index(left: np.ndarray, i_hi: int) -> np.ndarray:
+    """The n with D(x) = D(n) on each piece [left, right): min(floor(left),
+    floor(Xmax)).  The integer breakpoints sort before equal values, so this
+    is 1 plus the count of integer breakpoints up to left (left >= 1)."""
+    return np.minimum(left, i_hi).astype(np.int64)
+
+
 def _bounded_map(ex: ThreadPoolExecutor, fn, items, limit: int):
     """fn(*item) for each item, in order, with at most `limit` in flight."""
     pending = deque()
@@ -137,17 +144,20 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
 
     The breakpoints come in value windows (_breakpoint_windows) and are cut
     into chunks of _CHUNK pieces at global piece-index multiples of _CHUNK,
-    with the right endpoint and both D counters carried from one chunk into
-    the next.  Each chunk is integrated by gauss8_pieces and reduced to
-    exact_sum of its pieces and, for each grid X inside it, exact_sum of its
-    pieces before X (exact_prefix_sums: the exact sums of the segments
-    between grid points are added as integers, so no piece is read twice).
+    with the right endpoint and the D(theta x) counter carried from one
+    chunk into the next (the D(x) index is _d_index, in closed form).  Each
+    chunk is integrated by gauss8_pieces and reduced to exact_sum of its
+    pieces and, for each grid X inside it, exact_sum of its pieces before X
+    (exact_prefix_sums: the exact sums of the segments between grid points
+    are added as integers, so no piece is read twice).
     A correctly rounded sum is unique, so these are the floats math.fsum
     returns; then the chunk is dropped.  I(X) is the fsum of the earlier
     chunk sums plus that partial sum.  Memory is O(threads * _CHUNK)
     besides the table, and the chunk boundaries, hence the output bits, do
-    not depend on the window width or on `threads` (with threads > 1,
-    chunks run in a pool, at most `threads` at once).
+    not depend on the window width or on `threads` (with threads > 1 and
+    more than _CHUNK estimated pieces, chunks run in a pool, at most
+    `threads` at once; a single chunk runs inline, so its temporaries stay
+    in the main thread's malloc arena).
     """
     th = float(theta)
     if th <= 0:
@@ -168,6 +178,7 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
     if table is None or table.limit < need:
         table = sieve_tau(need)
     cd = table.cumulative()
+    i_hi = math.floor(Xmax)
     grid = np.asarray(xs_sorted, dtype=np.float64)
     grid_at = []  # global index of each grid X's first equal breakpoint
 
@@ -175,40 +186,38 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
         return [i - start for i in grid_at if start < i < start + _CHUNK]
 
     def chunks():
-        """(start, vals, i1, i2, offs) of each chunk: its _CHUNK + 1
-        breakpoints from global index start, the D(x) and D(theta x) indices
-        after each of them, and the offsets of the grid X inside it."""
+        """(start, vals, i2, offs) of each chunk: its _CHUNK + 1 breakpoints
+        from global index start, the D(theta x) index after each of them,
+        and the offsets of the grid X inside it."""
         start = 0
         vals = np.empty(0)
-        i1 = i2 = np.empty(0, dtype=np.int64)
-        k1, k2 = 1, math.floor(th)
+        i2 = np.empty(0, dtype=np.int64)
+        k2 = math.floor(th)
         for wv, wk, pos in _breakpoint_windows(th, Xmax, grid):
             grid_at.extend((start + len(vals) + pos).tolist())
-            is_int, is_tbp = wk == 0, wk == 1
+            is_tbp = wk == 1
             vals = np.concatenate((vals, wv))
-            i1 = np.concatenate((i1, k1 + np.cumsum(is_int)))
             i2 = np.concatenate((i2, k2 + np.cumsum(is_tbp)))
-            k1 += int(np.count_nonzero(is_int))
             k2 += int(np.count_nonzero(is_tbp))
             while len(vals) > _CHUNK:
                 stop = _CHUNK + 1
-                yield start, vals[:stop], i1[:stop], i2[:stop], offsets(start)
+                yield start, vals[:stop], i2[:stop], offsets(start)
                 start += _CHUNK
-                vals, i1, i2 = vals[_CHUNK:], i1[_CHUNK:], i2[_CHUNK:]
+                vals, i2 = vals[_CHUNK:], i2[_CHUNK:]
         if len(vals) > 1:
-            yield start, vals, i1, i2, offsets(start)
+            yield start, vals, i2, offsets(start)
 
-    def integrate(start, vals, i1, i2, offs):
+    def integrate(start, vals, i2, offs):
         left, right = vals[:-1], vals[1:]
         width = right - left
         piece = gauss8_pieces(0.5 * (left + right), 0.5 * width,
-                              cd[i1[:-1]].astype(np.float64),
+                              cd[_d_index(left, i_hi)].astype(np.float64),
                               cd[i2[:-1]].astype(np.float64), th)
         piece[~(width > _MERGE_TOL)] = 0.0
         sums = exact_prefix_sums(piece, offs + [len(piece)])
         return sums[-1], {start + off: p for off, p in zip(offs, sums)}
 
-    if threads > 1:
+    if threads > 1 and est_pieces > _CHUNK:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             done = list(_bounded_map(ex, integrate, chunks(), threads))
     else:

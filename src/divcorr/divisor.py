@@ -27,8 +27,8 @@ _SUMMATORY_X_CAP = 2**63 - 1
 _SUMMATORY_MANY_CAP = 2**44 - 1
 #: Entries per int64 block of the hyperbola sum (8 MB).
 _HYPERBOLA_BLOCK = 1 << 20
-#: Pieces per block of the Gauss-8 kernel's temporaries (4096 x 8 doubles,
-#: 256 KB each).
+#: Pieces per block of the Gauss-8 kernel's node-major buffers (8 x 4096
+#: doubles, 256 KB each).
 _GAUSS_BLOCK = 4096
 
 
@@ -143,9 +143,16 @@ def summatory_D_many(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _delta_at(d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Delta at the nodes x (one row per piece), where D = d is constant."""
-    return d[:, None] - x * np.log(x) - TWO_GAMMA_MINUS_1 * x
+def _delta_at(d: np.ndarray, x: np.ndarray, out: np.ndarray,
+              tmp: np.ndarray) -> np.ndarray:
+    """Delta = (d - x log x) - C x into `out`, with C = TWO_GAMMA_MINUS_1, at
+    the (8, m) node-major nodes x where D = d (one value per column) is
+    constant; tmp is scratch of the same shape."""
+    np.log(x, out=tmp)
+    np.multiply(x, tmp, out=tmp)
+    np.subtract(d, tmp, out=out)
+    np.multiply(TWO_GAMMA_MINUS_1, x, out=tmp)
+    return np.subtract(out, tmp, out=out)
 
 
 #: Pieces per integration chunk of mean_square and the correlation sweep.
@@ -162,20 +169,34 @@ def gauss8_pieces(mid: np.ndarray, half: np.ndarray, d1: np.ndarray,
     [mid - half, mid + half] on which D(x) = d1 and D(theta x) = d2 are
     constant.  With d2 omitted the integrand is Delta(x)^2.
 
-    The nodes, logs and integrand products are computed _GAUSS_BLOCK pieces
-    at a time into one (n, 8) buffer, so the temporaries stay in cache.  The
-    weighted sum over the nodes is then one `prod @ _GAUSS_WEIGHTS` over the
-    whole buffer: the BLAS gemv behind it may round a row differently
-    depending on where the row sits in the matrix, so one gemv per call is
-    what makes the result independent of the block size.
+    The integrand runs _GAUSS_BLOCK pieces at a time in node-major buffers,
+    (8, _GAUSS_BLOCK) with the nodes down axis 0, allocated once per call and
+    reused through out= ufuncs, so that each ufunc runs 8 flat loops over
+    the pieces rather than one 8-element loop per piece: x = mid + half *
+    node, Delta at x and at theta * x (_delta_at), and their product,
+    written through the transposed view of one C-contiguous (n, 8) buffer.
+    These operations are elementwise, so a piece's integrand does not
+    depend on the block it runs in.  The weighted sum over the nodes is one
+    `prod @ _GAUSS_WEIGHTS` over the whole (n, 8) buffer: the BLAS gemv
+    behind it may round a row differently depending on where the row sits
+    in the matrix, so one gemv per call is what makes the result
+    independent of the block size.
     """
-    prod = np.empty((len(mid), len(_GAUSS_NODES)))
-    for s in range(0, len(mid), _GAUSS_BLOCK):
-        e = s + _GAUSS_BLOCK
-        xs = mid[s:e, None] + half[s:e, None] * _GAUSS_NODES[None, :]
-        f1 = _delta_at(d1[s:e], xs)
-        f2 = f1 if d2 is None else _delta_at(d2[s:e], theta * xs)
-        np.multiply(f1, f2, out=prod[s:e])
+    n = len(mid)
+    prod = np.empty((n, len(_GAUSS_NODES)))
+    shape = (len(_GAUSS_NODES), min(n, _GAUSS_BLOCK))
+    x, tmp, f1 = np.empty(shape), np.empty(shape), np.empty(shape)
+    f2 = f1 if d2 is None else np.empty(shape)
+    nodes = _GAUSS_NODES[:, None]
+    for s in range(0, n, _GAUSS_BLOCK):
+        e = min(s + _GAUSS_BLOCK, n)
+        xb, tb, f1b, f2b = (a[:, :e - s] for a in (x, tmp, f1, f2))
+        np.multiply(half[s:e], nodes, out=xb)
+        np.add(mid[s:e], xb, out=xb)
+        _delta_at(d1[s:e], xb, f1b, tb)
+        if d2 is not None:
+            _delta_at(d2[s:e], np.multiply(theta, xb, out=xb), f2b, tb)
+        np.multiply(f1b, f2b, out=prod[s:e].T)
     return half * (prod @ _GAUSS_WEIGHTS)
 
 

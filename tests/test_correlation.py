@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -294,6 +295,61 @@ def test_streaming_sweep_matches_materialised(spec, chunk, monkeypatch,
     for threads in ((1, 2, 4) if chunk < 1000 else (1,)):
         got = correlation._sweep(theta, xs, big_table, threads)
         assert [(r.X, r.I, r.breakpoints_used) for r in got] == want
+
+
+@pytest.mark.parametrize("xs", [
+    # integer grid points, and 7.5, which is n/theta for rat:2/1
+    [2.0, 7.5, 100.0, 1000.0],
+    # Xmax just above an integer
+    [3.25, 1000.0000000000002],
+    # Xmax one ulp below 400, which is a breakpoint n/theta for rat:1/5,
+    # kept within _MERGE_TOL: its floor is above floor(Xmax)
+    [5.0, 399.99999999999994],
+])
+@pytest.mark.parametrize("spec", SWEEP_THETAS + ["rat:1/5"])
+def test_d_index_counts_the_integer_breakpoints(spec, xs, monkeypatch):
+    # the D(x) index the sweep once carried from window to window: 1 plus
+    # the integer breakpoints so far; small windows, so that many carries run
+    th = float(theta_parse(spec))
+    monkeypatch.setattr(correlation, "_CHUNK", 64)
+    grid = np.asarray(xs)
+    i_hi = math.floor(grid[-1])
+    k1, seen = 1, 0
+    for vals, kinds, _ in correlation._breakpoint_windows(th, grid[-1], grid):
+        want = k1 + np.cumsum(kinds == 0)
+        k1 += int(np.count_nonzero(kinds == 0))
+        assert correlation._d_index(vals, i_hi).tolist() == want.tolist()
+        seen += len(vals)
+    assert seen > 2 * 64
+
+
+def test_single_chunk_sweep_runs_inline(table_2e4, monkeypatch):
+    want = correlate_grid("surd:2", 100.0, 5000.0, 6, table_2e4, threads=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk sweep opened a thread pool")
+
+    monkeypatch.setattr(correlation, "ThreadPoolExecutor", no_pool)
+    got = correlate_grid("surd:2", 100.0, 5000.0, 6, table_2e4, threads=2)
+    assert [(r.I, r.breakpoints_used) for r in got] == \
+        [(r.I, r.breakpoints_used) for r in want]
+
+
+def test_many_chunk_sweep_runs_in_the_pool(table_2e4, monkeypatch):
+    monkeypatch.setattr(correlation, "_CHUNK", 1000)
+    want = correlate_grid("surd:2", 100.0, 5000.0, 6, table_2e4, threads=1)
+    opened = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(correlation, "ThreadPoolExecutor", CountingPool)
+    got = correlate_grid("surd:2", 100.0, 5000.0, 6, table_2e4, threads=2)
+    assert opened == [2]
+    assert [(r.I, r.breakpoints_used) for r in got] == \
+        [(r.I, r.breakpoints_used) for r in want]
 
 
 def test_sweep_memory_does_not_grow_with_X(big_table):

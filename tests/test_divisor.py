@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from divcorr.divisor import (TWO_GAMMA_MINUS_1, delta, gauss8_pieces,
-                             mean_square, sieve_tau, summatory_D,
-                             summatory_D_many, tong_ratio_oracle)
+import divcorr
+from divcorr.divisor import (_GAUSS_BLOCK, TWO_GAMMA_MINUS_1, delta,
+                             gauss8_pieces, mean_square, sieve_tau,
+                             summatory_D, summatory_D_many, tong_ratio_oracle)
 from divcorr.errors import ResourceLimit
 
 
@@ -172,11 +177,9 @@ def gauss8_one_shot(mid, half, d1, d2=None, theta=1.0):
     return half * ((f1 * f2) @ weights)
 
 
-@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 12293])
-@pytest.mark.parametrize("with_d2", [False, True])
-def test_blocked_gauss8_matches_one_shot(n, with_d2):
-    # pieces as the sweep makes them: [left, right] in [1, 1e6], widths up
-    # to 1 with some of 0, D at the left end
+def gauss8_inputs(n, with_d2):
+    """Seeded pieces as the sweep makes them: [left, right] in [1, 1e6],
+    widths up to 1 with some of 0, D at the left end."""
     rng = np.random.default_rng(n)
     left = rng.uniform(1.0, 1e6, n)
     width = rng.uniform(0.0, 1.0, n) * (rng.random(n) > 0.1)
@@ -184,10 +187,98 @@ def test_blocked_gauss8_matches_one_shot(n, with_d2):
     d1 = np.floor(left * np.log(left) + 0.15 * left)
     theta = 2**0.5
     d2 = np.floor(theta * d1) if with_d2 else None
-    got = gauss8_pieces(mid, half, d1, d2, theta)
-    want = gauss8_one_shot(mid, half, d1, d2, theta)
+    return mid, half, d1, d2, theta
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 12293])
+@pytest.mark.parametrize("with_d2", [False, True])
+def test_blocked_gauss8_matches_one_shot(n, with_d2):
+    args = gauss8_inputs(n, with_d2)
+    got = gauss8_pieces(*args)
+    want = gauss8_one_shot(*args)
     assert got.shape == (n,)
     assert got.tobytes() == want.tobytes()
+
+
+# SHA-256 of gauss8_pieces(*gauss8_inputs(n, with_d2)), recorded from the
+# row-major (block, 8) kernel (numpy 2.4.6 on an AVX-512 x86-64 host;
+# np.log's loops are host-dependent)
+GAUSS8_DIGESTS = {
+    (1, False):
+        "017a7356b425a74a33e1218f8cd7a1dbf28f8b24c4408c3e1367bd6b08b6fbe1",
+    (1, True):
+        "ea0e14e420953bd964821cfb4227f6027b8250b1b4545fd4e51675480ab286a0",
+    (4095, False):
+        "8cc1beacfbdb62cbb4d25dbeaba06b91ed6140c963bb9e37d76f34530edb8371",
+    (4095, True):
+        "30cc5aeacfa32f5f293493cb8e3c7b6dc28d205eb9791aa3ed7d8075db0ce314",
+    (4097, False):
+        "711300021ee0bc21abd161ae1d129db2e42eb90e463d804200b68b5ead7b8768",
+    (4097, True):
+        "d230a641af3d5c2919db9cc1cfa65ddf5250b406f5adfb57ddc080c6844ba9d7",
+    (1 << 18, False):
+        "5d0608bd6d7097ce28499b3a49ab7aaf357ac52e5e9115a7e6ed5bb53890611b",
+    (1 << 18, True):
+        "53c764feeee367fba16593efe59db8e3d6d6d6ea5496961ef3e874be2a64e22f",
+}
+
+
+@pytest.mark.parametrize("n, with_d2", sorted(GAUSS8_DIGESTS))
+def test_gauss8_output_is_pinned(n, with_d2):
+    out = gauss8_pieces(*gauss8_inputs(n, with_d2))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == \
+        GAUSS8_DIGESTS[n, with_d2]
+
+
+# the kernel against the row-major oracle in the same child process, so both
+# run the same ufunc and BLAS loops
+_GAUSS8_CHILD = """
+import sys
+sys.path.insert(0, %r)
+from test_divisor import gauss8_inputs, gauss8_one_shot
+from divcorr.divisor import gauss8_pieces
+for n in (1, 4097, 12293):
+    for with_d2 in (False, True):
+        args = gauss8_inputs(n, with_d2)
+        got, want = gauss8_pieces(*args), gauss8_one_shot(*args)
+        assert got.tobytes() == want.tobytes(), (n, with_d2)
+print("ok")
+""" % (str(Path(__file__).resolve().parent),)
+
+
+@pytest.mark.parametrize("var, value", [
+    # the loops an AVX2-only host runs
+    ("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR AVX512_ICL X86_V4"),
+    # an SSE3 BLAS kernel for the gemv
+    ("OPENBLAS_CORETYPE", "Prescott"),
+])
+def test_gauss8_matches_one_shot_under_other_dispatch(var, value):
+    env = dict(os.environ, **{var: value})
+    src = str(Path(divcorr.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", _GAUSS8_CHILD], env=env,
+                         capture_output=True, text=True, timeout=120)
+    if out.returncode and var in out.stderr and "RuntimeError" in out.stderr:
+        pytest.skip(f"numpy rejects {var}={value!r} on this host")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
+
+
+def test_gauss8_scratch_is_five_block_buffers_at_most():
+    # beyond the (n, 8) product and the result, the kernel holds its
+    # node-major (8, _GAUSS_BLOCK) buffers, whatever n is
+    n = 3 * _GAUSS_BLOCK + 5
+    for with_d2 in (False, True):
+        args = gauss8_inputs(n, with_d2)
+        tracemalloc.start()
+        try:
+            gauss8_pieces(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        prod_and_result = n * (8 + 1) * 8
+        assert peak - prod_and_result <= 5 * 8 * _GAUSS_BLOCK * 8
 
 
 def test_summatory_examples():
