@@ -57,8 +57,6 @@ def _emit(line=""):
 
 def cmd_delta(cfg: RunConfig, args) -> int:
     x = args.x
-    if x < 1:
-        raise ValueError("x must be >= 1")
     d = delta(x)
     _emit(cfg.header("delta"))
     if args.voronoi_n:

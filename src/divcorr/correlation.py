@@ -63,7 +63,7 @@ def _as_theta(theta) -> Theta:
     return theta if isinstance(theta, Theta) else theta_parse(theta)
 
 
-def _first_n_at_or_above(v: int, th: float, n_lo: int, n_hi: int) -> int:
+def _first_n_at_or_above(v: float, th: float, n_lo: int, n_hi: int) -> int:
     """Smallest n in [n_lo, n_hi] with float64(n) / th >= v, else n_hi + 1.
     float64(n) / th is non-decreasing in n, so a start near v * th walks
     only a step or two."""
@@ -79,14 +79,11 @@ def _breakpoint_windows(th: float, Xmax: float, grid: np.ndarray):
     """The sorted breakpoints of [1, Xmax], one value window [a, a + W) at a
     time, with W about _CHUNK / (1 + th) so a window holds about _CHUNK.
 
-    Yields (vals, kinds, grid_pos) per window.  The breakpoints are 1.0 (in
+    Yields the sorted values of each window.  The breakpoints are 1.0 (in
     the first window), the integers 2..floor(Xmax), n / th for
-    floor(th) < n <= floor(th Xmax), and the grid, in that kind order and
-    then argsorted stably: kinds 2 (1.0, grid), 0 (integer), 1 (n / th).
-    All equal values fall in one window, so the windows concatenate to the
-    global stable sort.  Values above Xmax + _MERGE_TOL are dropped.
-    grid_pos is the index in vals of the first breakpoint equal to each of
-    the window's grid values.
+    floor(th) < n <= floor(th Xmax), and the grid.  All equal values fall
+    in one window, so the windows concatenate to the global sort.  Values
+    above Xmax + _MERGE_TOL are dropped.
     """
     width = max(1, int(_CHUNK / (1 + th)))
     i_hi = math.floor(Xmax)
@@ -98,31 +95,24 @@ def _breakpoint_windows(th: float, Xmax: float, grid: np.ndarray):
         b = a + width
         n_end = _first_n_at_or_above(b, th, n, n_hi)
         g_end = int(np.searchsorted(grid, b, side="left"))
-        ints = np.arange(max(a, 2), min(b, i_hi + 1), dtype=np.float64)
-        tbps = np.arange(n, n_end, dtype=np.float64) / th
-        pts = grid[g:g_end]
-        head = [1.0] if a == 1 else []
-        vals = np.concatenate((head, ints, tbps, pts))
-        kinds = np.concatenate((
-            np.full(len(head), 2, dtype=np.int8),
-            np.zeros(len(ints), dtype=np.int8),
-            np.ones(len(tbps), dtype=np.int8),
-            np.full(len(pts), 2, dtype=np.int8),
-        ))
-        order = np.argsort(vals, kind="stable")
-        vals, kinds = vals[order], kinds[order]
+        vals = np.concatenate((
+            [1.0] if a == 1 else [],
+            np.arange(max(a, 2), min(b, i_hi + 1), dtype=np.float64),
+            np.arange(n, n_end, dtype=np.float64) / th,
+            grid[g:g_end]))
+        vals.sort(kind="stable")  # timsort: merges the four sorted runs
         if b > top:
-            keep = vals <= top
-            vals, kinds = vals[keep], kinds[keep]
-        yield vals, kinds, np.searchsorted(vals, pts, side="left")
+            vals = vals[vals <= top]
+        yield vals
         a, n, g = b, n_end, g_end
 
 
 def _d_index(left: np.ndarray, i_hi: int) -> np.ndarray:
     """The n with D(x) = D(n) on each piece [left, right): min(floor(left),
-    floor(Xmax)).  The integer breakpoints sort before equal values, so this
-    is 1 plus the count of integer breakpoints up to left (left >= 1)."""
-    return np.minimum(left, i_hi).astype(np.int64)
+    floor(Xmax)), which is 1 plus the count of integer breakpoints 2..i_hi
+    up to left (left >= 1)."""
+    idx = left.astype(np.int64)
+    return np.minimum(idx, i_hi, out=idx)
 
 
 def _bounded_map(ex: ThreadPoolExecutor, fn, items, limit: int):
@@ -144,8 +134,9 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
 
     The breakpoints come in value windows (_breakpoint_windows) and are cut
     into chunks of _CHUNK pieces at global piece-index multiples of _CHUNK,
-    with the right endpoint and the D(theta x) counter carried from one
-    chunk into the next (the D(x) index is _d_index, in closed form).  Each
+    with the right endpoint carried from one chunk into the next.  Only
+    values stream: a piece's D(x) and D(theta x) indices and the position
+    of each grid X follow in closed form from global piece indices.  Each
     chunk is integrated by gauss8_pieces and reduced to exact_sum of its
     pieces and, for each grid X inside it, exact_sum of its pieces before X
     (exact_prefix_sums: the exact sums of the segments between grid points
@@ -179,40 +170,44 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
         table = sieve_tau(need)
     cd = table.cumulative()
     i_hi = math.floor(Xmax)
-    grid = np.asarray(xs_sorted, dtype=np.float64)
-    grid_at = []  # global index of each grid X's first equal breakpoint
-
-    def offsets(start):
-        return [i - start for i in grid_at if start < i < start + _CHUNK]
+    n_lo, n_hi = math.floor(th) + 1, math.floor(th * Xmax)
+    # global index of each grid X's first equal breakpoint: the count of
+    # breakpoints below X, which are 1.0, the integers 2..ceil(X) - 1, the
+    # n / th below X and the k grid points before it
+    grid_at = [int(x > 1) + max(0, min(i_hi, math.ceil(x) - 1) - 1)
+               + _first_n_at_or_above(x, th, n_lo, n_hi) - n_lo + k
+               for k, x in enumerate(xs_sorted)]
 
     def chunks():
-        """(start, vals, i2, offs) of each chunk: its _CHUNK + 1 breakpoints
-        from global index start, the D(theta x) index after each of them,
-        and the offsets of the grid X inside it."""
-        start = 0
-        vals = np.empty(0)
-        i2 = np.empty(0, dtype=np.int64)
-        k2 = math.floor(th)
-        for wv, wk, pos in _breakpoint_windows(th, Xmax, grid):
-            grid_at.extend((start + len(vals) + pos).tolist())
-            is_tbp = wk == 1
-            vals = np.concatenate((vals, wv))
-            i2 = np.concatenate((i2, k2 + np.cumsum(is_tbp)))
-            k2 += int(np.count_nonzero(is_tbp))
+        """(start, vals) of each chunk: its _CHUNK + 1 breakpoints from
+        global index start."""
+        start, vals = 0, np.empty(0)
+        for window in _breakpoint_windows(th, Xmax, np.asarray(xs_sorted)):
+            vals = np.concatenate((vals, window))
             while len(vals) > _CHUNK:
-                stop = _CHUNK + 1
-                yield start, vals[:stop], i2[:stop], offsets(start)
+                yield start, vals[:_CHUNK + 1]
                 start += _CHUNK
-                vals, i2 = vals[_CHUNK:], i2[_CHUNK:]
+                vals = vals[_CHUNK:]
         if len(vals) > 1:
-            yield start, vals, i2, offsets(start)
+            yield start, vals
 
-    def integrate(start, vals, i2, offs):
+    def integrate(start, vals):
         left, right = vals[:-1], vals[1:]
         width = right - left
-        piece = gauss8_pieces(0.5 * (left + right), 0.5 * width,
-                              cd[_d_index(left, i_hi)].astype(np.float64),
-                              cd[i2[:-1]].astype(np.float64), th)
+        offs = [i - start for i in grid_at if start < i < start + _CHUNK]
+        idx = _d_index(left, i_hi)
+        d1 = cd[idx].astype(np.float64)
+        # D(theta x) index: on a live piece j the breakpoints up to left are
+        # the first start + j + 1, namely 1.0, idx - 1 integers, the grid X
+        # at or before global index start + j, and the n / th from
+        # floor(th) + 1 on.  A dead piece's index may be -1, a valid read:
+        # the piece is zeroed below.
+        k = math.floor(th) + start + 1 - sum(i <= start for i in grid_at)
+        np.subtract(np.arange(k, k + len(left)), idx, out=idx)
+        for off in offs:
+            idx[off:] -= 1
+        piece = gauss8_pieces(0.5 * (left + right), 0.5 * width, d1,
+                              cd[idx].astype(np.float64), th)
         piece[~(width > _MERGE_TOL)] = 0.0
         sums = exact_prefix_sums(piece, offs + [len(piece)])
         return sums[-1], {start + off: p for off, p in zip(offs, sums)}
@@ -241,13 +236,7 @@ def correlate_exact(theta, X: float, table: DivisorTable | None = None,
                     threads: int = 1) -> CorrelationResult:
     """I_theta(X) over [1, X], split at every jump of either factor and
     integrated by 8-point Gauss quadrature per smooth piece."""
-    theta = _as_theta(theta)
-    if X < 1:
-        raise ValueError("X must be >= 1")
-    if X == 1:
-        return CorrelationResult(theta=theta, X=1.0, I=0.0, method="exact",
-                                 breakpoints_used=0)
-    return _sweep(theta, [X], table, threads)[0]
+    return _sweep(_as_theta(theta), [X], table, threads)[0]
 
 
 def correlate_grid(theta, xmin: float, xmax: float, points: int,

@@ -33,6 +33,9 @@ PARTIAL_SUM_BITS = 1 << 21
 
 _MAX_EXPAND_BITS = 1 << 24
 
+#: log2 bits by which a resolved distance ||m theta|| exceeds its radius
+_DIST_REL_BITS = 40
+
 #: how many partial quotients approximability_scan expands theta to
 _SCAN_CONVERGENTS = 256
 
@@ -557,9 +560,10 @@ def _dist_from_enclosure(enc: Enclosure, m: int):
     return d, err
 
 
-def _resolve_distance(theta: Theta, m: int, rel_bits: int = 40):
-    """Certified (dist, log2_err): the radius is at least rel_bits below the
-    distance itself (or exactly zero).  Escalates the enclosure on demand."""
+def _resolve_distance(theta: Theta, m: int):
+    """Certified (dist, log2_err): the radius is at least _DIST_REL_BITS
+    below the distance itself (or exactly zero).  Escalates the enclosure
+    on demand."""
     for enc in _escalating_enclosures(theta, max(96, m.bit_length() + 96)):
         d, err = _dist_from_enclosure(enc, m)
         if err == -_INF:
@@ -567,7 +571,7 @@ def _resolve_distance(theta: Theta, m: int, rel_bits: int = 40):
                 raise PrecisionExhausted(
                     f"||{_fmt_int(m)} * theta|| below representable resolution")
             return d, err
-        if d > 0 and err <= log2_fraction(d) - rel_bits:
+        if d > 0 and err <= log2_fraction(d) - _DIST_REL_BITS:
             return d, err
     raise PrecisionExhausted(
         f"||{_fmt_int(m)} * theta|| not resolved at the available precision "

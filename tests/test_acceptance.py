@@ -244,8 +244,10 @@ def test_criterion_9b_remainder_stability(big_table):
 def test_criterion_10_grid_determinism():
     cmd = [sys.executable, "-c",
            "import sys; from divcorr.cli import main; sys.exit(main(sys.argv[1:]))"]
+    # about 4.8e5 pieces, 2 chunks: --threads 4 integrates them in the pool,
+    # --threads 1 inline
     args = ["correlate", "--theta", "surd:2", "--xmin", "1000",
-            "--xmax", "20000", "--points", "6", "--fit"]
+            "--xmax", "200000", "--points", "6", "--fit"]
     outs = []
     for threads in ("1", "4"):
         p = subprocess.run(cmd + ["--threads", threads] + args,

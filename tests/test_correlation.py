@@ -11,8 +11,8 @@ from divcorr.correlation import (compare_spectral, correlate_exact,
                                  correlate_grid, fit_exponent,
                                  normalized_ratio, result_csv_row,
                                  results_json, CorrelationResult)
-from divcorr.divisor import (TWO_GAMMA_MINUS_1, gauss8_pieces, mean_square,
-                             summatory_D)
+from divcorr.divisor import (TWO_GAMMA_MINUS_1, DivisorTable, gauss8_pieces,
+                             mean_square, summatory_D)
 from divcorr.diophantine import theta_parse
 from divcorr.errors import ResourceLimit
 from divcorr.realfield import psi_parse
@@ -227,13 +227,21 @@ def materialised_breakpoints(th: float, xs: list[float]):
     return vals[keep], kinds[keep]
 
 
+def materialised_indices(th: float, xs: list[float]):
+    """Every breakpoint, and the D(x) and D(theta x) index after each, as
+    1 and floor(th) plus the running counts of the integer and n / th
+    breakpoints."""
+    vals, kinds = materialised_breakpoints(th, xs)
+    d1_idx = 1 + np.cumsum(kinds == 0)
+    d2_idx = int(math.floor(th)) + np.cumsum(kinds == 1)
+    return vals, d1_idx, d2_idx
+
+
 def materialised_sweep(th: float, xs: list[float], table, chunk: int):
     """(X, I, breakpoints_used) per grid X, as the sweep computed them
     before it streamed: all pieces in memory, chunks of `chunk` pieces."""
-    vals, kinds = materialised_breakpoints(th, xs)
+    vals, d1_idx, d2_idx = materialised_indices(th, xs)
     cd = table.cumulative()
-    d1_idx = 1 + np.cumsum(kinds == 0)
-    d2_idx = int(math.floor(th)) + np.cumsum(kinds == 1)
     left, right = vals[:-1], vals[1:]
     width = right - left
     live = width > correlation._MERGE_TOL
@@ -308,19 +316,32 @@ def test_streaming_sweep_matches_materialised(spec, chunk, monkeypatch,
 ])
 @pytest.mark.parametrize("spec", SWEEP_THETAS + ["rat:1/5"])
 def test_d_index_counts_the_integer_breakpoints(spec, xs, monkeypatch):
-    # the D(x) index the sweep once carried from window to window: 1 plus
-    # the integer breakpoints so far; small windows, so that many carries run
-    th = float(theta_parse(spec))
+    # the D(x) and D(theta x) indices and grid positions that the sweep
+    # works out from global piece indices, against the running counts of
+    # the breakpoint kinds and searchsorted.  With tau = 1 the table's D(n)
+    # is n, so the kernel receives the indices themselves.  Small chunks,
+    # so that start > 0 and grid X fall inside chunks
+    theta = theta_parse(spec)
+    th = float(theta)
     monkeypatch.setattr(correlation, "_CHUNK", 64)
-    grid = np.asarray(xs)
-    i_hi = math.floor(grid[-1])
-    k1, seen = 1, 0
-    for vals, kinds, _ in correlation._breakpoint_windows(th, grid[-1], grid):
-        want = k1 + np.cumsum(kinds == 0)
-        k1 += int(np.count_nonzero(kinds == 0))
-        assert correlation._d_index(vals, i_hi).tolist() == want.tolist()
-        seen += len(vals)
-    assert seen > 2 * 64
+    limit = max(math.floor(xs[-1]), math.floor(th * xs[-1])) + 2
+    table = DivisorTable(limit, np.r_[0, np.ones(limit, dtype=np.int64)])
+    seen = []
+
+    def kernel(mid, half, d1, d2, theta):
+        seen.append((d1, d2))
+        return np.zeros(len(mid))
+
+    monkeypatch.setattr(correlation, "gauss8_pieces", kernel)
+    got = correlation._sweep(theta, xs, table)
+    vals, d1_idx, d2_idx = materialised_indices(th, xs)
+    live = np.diff(vals) > correlation._MERGE_TOL
+    d1, d2 = (np.concatenate(d) for d in zip(*seen))
+    assert len(seen) > 2 and len(d1) == len(vals) - 1
+    assert d1[live].tolist() == d1_idx[:-1][live].tolist()
+    assert d2[live].tolist() == d2_idx[:-1][live].tolist()
+    assert [r.breakpoints_used for r in got] == \
+        np.searchsorted(vals, sorted(set(xs)), side="left").tolist()
 
 
 def test_single_chunk_sweep_runs_inline(table_2e4, monkeypatch):
