@@ -22,6 +22,14 @@ _SQRT2_PI = math.sqrt(2.0) * math.pi
 _4PI = 4.0 * math.pi
 
 
+def _lambda_direct(x):
+    """sin x/x + 2 cos x/x^2 - 2 sin x/x^3 in this operation order, with the
+    cube from np.power: the values that lambda_kernel returns for
+    |x| >= _LAMBDA_SWITCH.  Its caller sets the numpy error state."""
+    s, c = np.sin(x), np.cos(x)
+    return s / x + 2.0 * c / (x * x) - 2.0 * s / np.power(x, 3)
+
+
 def lambda_kernel(x):
     """Continuous bounded kernel: 1/3 at 0, else
     sin(x)/x + 2 cos(x)/x^2 - 2 sin(x)/x^3.
@@ -29,9 +37,12 @@ def lambda_kernel(x):
     Near zero a degree-4 Taylor polynomial (1/3 - x^2/10 + x^4/168) replaces
     the catastrophically cancelling direct form.  Accepts scalars or arrays.
 
-    The direct form runs on the whole array, in place, with the operation
-    order of the expression above; entries with |x| < _LAMBDA_SWITCH, where
-    it divides by zero or overflows, are then overwritten.
+    The direct form runs on the whole array, in place, with the cube as
+    (x*x)*x.  A per-element rounding test certifies that the result equals
+    _lambda_direct's, whose cube comes from np.power (slow for negative
+    bases); the entries it cannot certify, and those with
+    |x| < _LAMBDA_SWITCH, are gathered and recomputed by _lambda_direct and
+    the Taylor polynomial.
     """
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
@@ -44,18 +55,37 @@ def lambda_kernel(x):
         p = np.multiply(arr, arr)
         c /= p
         out += c
-        # np.power takes a slow path for negative bases (about half of the
-        # spectral rows' CPU time), but x*x*x and copysign(|x|**3, x) round
-        # some cubes differently, and the seed-0 benchmark gate pins J's
-        # bits; the cube stays until those may move.
-        np.power(arr, 3, out=p)
+        p *= arr
         s *= 2.0
         s /= p
-        out -= s
-    small = np.abs(arr) < _LAMBDA_SWITCH
-    if small.any():
-        xs = arr[small]
-        out[small] = (1.0 / 3.0) - xs * xs / 10.0 + xs**4 / 168.0
+        # Ziv's rounding test.  Here s' = 2 sin x/((x*x)*x); call
+        # s = 2 sin x/np.power(x, 3) the term that _lambda_direct subtracts.
+        # With u = 2^-53, |s - s'| <= (eps_pow + 4u)|s| plus a subnormal
+        # term, which is below d/2 for d = |s'| 2^-44 + 2^-1000 while
+        # np.power is within about 60 ulps of the cube (measured: within
+        # 1 ulp of (x*x)*x).  So s and s' lie in [s' - d, s' + d], and
+        # rounding is monotone: fl(out - s) and fl(out - s') both lie
+        # between r1 = fl(out - fl(s' + d)) and r2 = fl(out - fl(s' - d)).
+        # Where r1 == r2, r2 is fl(out - s), the value _lambda_direct
+        # gives; where they differ (nan and inf included), it is recomputed.
+        np.abs(s, out=c)
+        c *= 2.0 ** -44
+        c += 2.0 ** -1000
+        np.add(s, c, out=p)
+        s -= c
+        np.subtract(out, p, out=p)  # r1
+        out -= s                    # r2
+        redo = np.not_equal(out, p)
+        redo |= np.abs(arr) < _LAMBDA_SWITCH
+        i = np.nonzero(redo)
+        if i[0].size:
+            xs = arr[i]
+            ys = _lambda_direct(xs)
+            small = np.abs(xs) < _LAMBDA_SWITCH
+            if small.any():
+                xs = xs[small]
+                ys[small] = (1.0 / 3.0) - xs * xs / 10.0 + xs**4 / 168.0
+            out[i] = ys
     return float(out[0]) if scalar else out
 
 

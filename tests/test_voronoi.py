@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from divcorr import voronoi
 from divcorr.checks import SUITES
 from divcorr.divisor import delta
 from divcorr.voronoi import (SpectralParams, a_mn, lambda_kernel,
@@ -55,6 +61,156 @@ def test_lambda_bitwise_equals_masked_kernel():
     assert got.tobytes() == want.tobytes()
     for x, y in zip(xs, want):
         assert lambda_kernel(float(x)) == y
+
+
+def _ulps_from(v, k):
+    """The double k ulps above v > 0 (below for k < 0)."""
+    return float((np.array([v]).view(np.int64) + k).view(np.float64)[0])
+
+
+def _signed(lo, hi):
+    return st.one_of(st.floats(min_value=lo, max_value=hi),
+                     st.floats(min_value=-hi, max_value=-lo))
+
+
+#: doubles of every sign and magnitude, weighted towards the kernel's edges:
+#: subnormals, the neighbours of the Taylor switch, the spectral range, the
+#: band where the cube overflows, and the specials
+_KERNEL_ARGS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-2.2250738585072014e-308,
+              max_value=2.2250738585072014e-308),
+    st.builds(lambda k, sign: sign * _ulps_from(1e-3, k),
+              st.integers(-4, 4), st.sampled_from((1.0, -1.0))),
+    _signed(1e-3, 1e8),
+    _signed(1e102, 1e103),
+    st.sampled_from((math.inf, -math.inf, math.nan, 0.0, -0.0)))
+
+
+def _row_args(spec, X, stride=1):
+    """The arguments u = 4 pi (sqrt(m theta) - sqrt n) sqrt X that
+    spectral_j passes to lambda_kernel, for the rows m = 1, 1 + stride, ...
+    at N = X^{3/4}, concatenated."""
+    th = float(theta_parse(spec))
+    N = int(X ** 0.75)
+    sqrt_n = np.sqrt(np.arange(1, N + 1, dtype=np.float64))
+    return np.concatenate([(math.sqrt(m * th) - sqrt_n) * (4.0 * math.pi)
+                           * math.sqrt(X) for m in range(1, N + 1, stride)])
+
+
+def _assert_kernel_bits(xs):
+    with np.errstate(all="ignore"):  # the masked cube overflows, nan, inf
+        want = _lambda_masked(xs)
+    assert lambda_kernel(xs).tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_KERNEL_ARGS, min_size=1, max_size=40))
+def test_lambda_bits_property(xs):
+    # x*x*x plus the rounding certificate gives the np.power kernel's bytes
+    _assert_kernel_bits(np.array(xs, dtype=np.float64))
+
+
+@pytest.mark.parametrize("spec", ["surd:2", "taubeta:2/1:4", "rat:1/1"])
+def test_lambda_bits_on_spectral_rows(spec):
+    # the 89 rows at X = 400 as one (89, 89) array: the kernel is elementwise
+    _assert_kernel_bits(_row_args(spec, 400.0).reshape(89, 89))
+    _assert_kernel_bits(_row_args(spec, 1e4, stride=7))
+
+
+def _record_direct(monkeypatch, impl=None):
+    """Route lambda_kernel's fallback through a recorder; returns the list
+    of the arrays it receives."""
+    seen = []
+    impl = impl or voronoi._lambda_direct
+
+    def recording(x):
+        seen.append(x.copy())
+        return impl(x)
+    monkeypatch.setattr(voronoi, "_lambda_direct", recording)
+    return seen
+
+
+def test_lambda_fallback_runs_where_the_test_fails(monkeypatch):
+    seen = _record_direct(monkeypatch)
+    u = _row_args("surd:2", 1e4, stride=7)
+    band = u[(np.abs(u) >= 1e-3) & (np.abs(u) <= 100.0)]
+    lambda_kernel(band)
+    got = np.concatenate(seen)
+    assert 0 < got.size < band.size
+    assert np.all(np.abs(got) >= 1e-3)  # certificate failures, not Taylor
+    seen.clear()
+    x = np.geomspace(1e4, 1e6, 20_000)
+    lambda_kernel(np.concatenate([x, -x]))
+    assert seen == []
+
+
+def test_lambda_fallback_needs_np_power(monkeypatch):
+    # a fallback with the cheap cube moves bits: the certificate, not luck,
+    # keeps the np.power values
+    def cheap(x):
+        s, c = np.sin(x), np.cos(x)
+        return s / x + 2.0 * c / (x * x) - 2.0 * s / (x * x * x)
+    _record_direct(monkeypatch, cheap)
+    u = _row_args("taubeta:2/1:4", 400.0)
+    with np.errstate(all="ignore"):
+        want = _lambda_masked(u)
+    assert lambda_kernel(u).tobytes() != want.tobytes()
+
+
+def test_cube_within_two_ulps_of_np_power():
+    # the certificate needs np.power(x, 3) close to (x*x)*x; 1 ulp measured
+    rng = np.random.default_rng(11)
+    x = 10.0 ** rng.uniform(-3, 8, 200_000)
+    x = np.concatenate([x, -x])
+    ulps = np.abs(np.power(x, 3).view(np.int64) - ((x * x) * x).view(np.int64))
+    assert ulps.max() <= 2
+
+
+_AVX2_ONLY = "AVX512_SPR AVX512_ICL X86_V4"
+
+# the kernel against the masked np.power oracle, on random doubles, the
+# edges and the spectral rows, under the dispatch set in its environment
+_CHILD = """
+import json, math, sys
+import numpy as np
+sys.path.insert(0, %r)
+from numpy._core._multiarray_umath import __cpu_features__
+from test_voronoi import _lambda_masked, _row_args
+from divcorr.voronoi import lambda_kernel
+rng = np.random.default_rng(5)
+mag = 10.0 ** rng.uniform(-4, 300, 200_000)
+xs = [mag * rng.choice([-1.0, 1.0], mag.size),
+      np.array([0.0, 5e-324, -5e-324, 1e-3, -1e-3, math.inf, -math.inf,
+                math.nan, 1e102, -5.6e102, 1e103]),
+      _row_args("surd:2", 1e4, stride=7), _row_args("rat:1/1", 1e4, stride=7)]
+xs = np.concatenate(xs)
+with np.errstate(all="ignore"):
+    want = _lambda_masked(xs)
+print(json.dumps({"equal": lambda_kernel(xs).tobytes() == want.tobytes(),
+                  "features": {f: __cpu_features__[f] for f in %r}}))
+"""
+
+
+def test_lambda_bits_under_avx2_dispatch():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        pytest.skip("numpy < 2 names its CPU features differently")
+    feats = _AVX2_ONLY.split()
+    if not all(__cpu_features__.get(f) for f in feats):
+        pytest.skip("the host lacks the AVX-512 features to switch off")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_AVX2_ONLY)
+    src = str(Path(voronoi.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    tests = str(Path(__file__).resolve().parent)
+    out = subprocess.run([sys.executable, "-c", _CHILD % (tests, feats)],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=300)
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["features"] == {f: False for f in feats}
+    assert got["equal"]
 
 
 def test_lambda_branch_consistency():
@@ -338,6 +494,24 @@ def test_spectral_j_equals_row_oracle(table_2e4):
                 got = (rep.J_total, rep.D_lower, rep.D_upper,
                        rep.term_count_lower, rep.term_count_upper)
                 assert got == want, (spec, T, threads)
+
+
+def test_spectral_j_calls_kernel_once_per_row(table_2e4, monkeypatch):
+    # one lambda_kernel call per row, on the whole row: the benchmark's
+    # voronoi.lambda_calls counts them
+    sizes = []
+    kernel = voronoi.lambda_kernel
+
+    def counting(u):
+        sizes.append(u.size)
+        return kernel(u)
+    monkeypatch.setattr(voronoi, "lambda_kernel", counting)
+    N = 89
+    for threads in (1, 2, 3):
+        sizes.clear()
+        spectral_j(theta_parse("surd:2"), SpectralParams(X=400.0, N=N, T=30.0),
+                   table_2e4, threads=threads)
+        assert sizes == [N] * N, threads
 
 
 def test_no_runtime_warning_from_kernel_or_pool(table_2e4):
