@@ -10,21 +10,22 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diophantine import Theta, theta_parse
-from .divisor import _CHUNK, DivisorTable, gauss8_pieces, sieve_tau
+from .divisor import (_CHUNK, DivisorTable, _ordered_map, gauss8_pieces,
+                      sieve_tau)
 from .errors import ResourceLimit
 from .exactsum import exact_prefix_sums
 from .realfield import PsiFunction, _fmt
 from .voronoi import SpectralParams, SpectralReport, spectral_j
 
-#: pieces narrower than this merge with their neighbour (near-coincident
-#: breakpoints n ~ m*theta would otherwise create degenerate slivers)
+#: the sweep zeroes the integral of each piece no wider than this (the
+#: slivers between near-coincident breakpoints n ~ m*theta, and the empty
+#: pieces between equal ones), and drops breakpoint values above
+#: Xmax + _MERGE_TOL
 _MERGE_TOL = 1e-12
 
 #: time budget of one sweep, in pieces: the sweep streams its pieces in
@@ -115,17 +116,6 @@ def _d_index(left: np.ndarray, i_hi: int) -> np.ndarray:
     return np.minimum(idx, i_hi, out=idx)
 
 
-def _bounded_map(ex: ThreadPoolExecutor, fn, items, limit: int):
-    """fn(*item) for each item, in order, with at most `limit` in flight."""
-    pending = deque()
-    for item in items:
-        if len(pending) == limit:
-            yield pending.popleft().result()
-        pending.append(ex.submit(fn, *item))
-    while pending:
-        yield pending.popleft().result()
-
-
 def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
            threads: int = 1) -> list[CorrelationResult]:
     """One streaming pass over [1, max(xs)] returning I at every requested
@@ -145,10 +135,8 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
     returns; then the chunk is dropped.  I(X) is the fsum of the earlier
     chunk sums plus that partial sum.  Memory is O(threads * _CHUNK)
     besides the table, and the chunk boundaries, hence the output bits, do
-    not depend on the window width or on `threads` (with threads > 1 and
-    more than _CHUNK estimated pieces, chunks run in a pool, at most
-    `threads` at once; a single chunk runs inline, so its temporaries stay
-    in the main thread's malloc arena).
+    not depend on the window width or on `threads` (with more than _CHUNK
+    estimated pieces, _ordered_map runs the chunks on `threads` workers).
     """
     th = float(theta)
     if th <= 0:
@@ -212,11 +200,10 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
         sums = exact_prefix_sums(piece, offs + [len(piece)])
         return sums[-1], {start + off: p for off, p in zip(offs, sums)}
 
-    if threads > 1 and est_pieces > _CHUNK:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            done = list(_bounded_map(ex, integrate, chunks(), threads))
-    else:
-        done = [integrate(*item) for item in chunks()]
+    # a single chunk runs inline, so its temporaries stay in the main
+    # thread's malloc arena
+    done = _ordered_map(integrate, chunks(),
+                        threads if est_pieces > _CHUNK else 1)
     chunk_totals = [total for total, _ in done]
     # grid index -> fsum of its chunk's pieces before it
     partial = {i: p for _, parts in done for i, p in parts.items()}

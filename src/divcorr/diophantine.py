@@ -36,9 +36,6 @@ _MAX_EXPAND_BITS = 1 << 24
 #: log2 bits by which a resolved distance ||m theta|| exceeds its radius
 _DIST_REL_BITS = 40
 
-#: how many partial quotients approximability_scan expands theta to
-_SCAN_CONVERGENTS = 256
-
 #: dec: literals, int[.frac][e|E[+-]exp]; groups are frac and exp
 _DECIMAL = re.compile(r"[0-9]+(?:\.([0-9]+))?(?:[eE]([+-]?[0-9]+))?")
 
@@ -651,6 +648,21 @@ def _legendre_holds(theta: Theta, n: int, m: int) -> bool:
                   max(64, 2 * m.bit_length() + 80)) == (1, -1)
 
 
+def _convergents_past(theta: Theta, M: int) -> list[Convergent]:
+    """theta's certified convergents through the least K with
+    F_{K+1} > M, so that q_K > M (q_K >= F_{K+1}).  When theta's data
+    certifies fewer quotients, the certified prefix, which the last
+    enclosure fixes whatever K is; [] when it certifies none."""
+    K = 1
+    while fibonacci(K + 1) <= M:
+        K += 1
+    try:
+        cf = cf_expand(theta, K)
+    except PrecisionExhausted as e:
+        cf = e.partial
+    return convergents(cf) if cf is not None else []
+
+
 def legendre_hits(theta: Theta, M: int) -> list[int]:
     """The set {m <= M : ||m theta|| < 1/(2m)}, exactly, in O(K + hits)
     certified comparisons for the K convergents with denominator <= M.
@@ -668,14 +680,7 @@ def legendre_hits(theta: Theta, M: int) -> list[int]:
     below both, and `partial` holds the hits up to it.
     """
     _require_irrational(theta, "legendre_hits")
-    K = 1
-    while fibonacci(K + 1) <= M:  # q_K >= F_{K+1}
-        K += 1
-    try:
-        cf = cf_expand(theta, K)
-    except PrecisionExhausted as e:
-        cf = e.partial
-    convs = convergents(cf) if cf is not None else []
+    convs = _convergents_past(theta, M)
     limit = 0
     if len(convs) > 1:
         qK = convs[-1].m
@@ -848,33 +853,27 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
     fast_from = m_star if m_star <= M else None
 
     # convergent denominators and their admissible multiples
-    try:
-        cf = cf_expand(theta, _SCAN_CONVERGENTS)
-    except PrecisionExhausted as e:
-        cf = e.partial
-    if cf is not None:
-        convs = convergents(cf)
-        for c in convs:
-            if not 1 <= c.m <= M:
-                continue
-            try:
-                d, err = _resolve_distance(theta, c.m)
-            except PrecisionExhausted:
-                certified_to = min(certified_to, c.m - 1)
-                continue
-            add_event(c.m, True, (d, err))
-            if m_star > M:
-                continue
-            # a fast-region hit at g*m_k forces g*||m_k theta|| < 1/2
-            g_cap = min(M // c.m, int(Fraction(1, 2) / d) + 1)
-            for g in range(max(2, -(-m_star // c.m)), g_cap + 1):
-                add_event(g * c.m, dist=(g * d, err + math.log2(g))
-                          if 2 * g * d <= 1 else None)
-        # did the convergent list actually reach past M?
-        if convs[-1].m <= M and m_star <= M:
-            certified_to = min(certified_to, convs[-1].m)
-    elif m_star <= M:
-        certified_to = min(certified_to, m_star - 1)
+    convs = _convergents_past(theta, M)
+    for c in convs:
+        if c.m > M:
+            break
+        try:
+            d, err = _resolve_distance(theta, c.m)
+        except PrecisionExhausted:
+            certified_to = min(certified_to, c.m - 1)
+            continue
+        add_event(c.m, True, (d, err))
+        if m_star > M:
+            continue
+        # a fast-region hit at g*m_k forces g*||m_k theta|| < 1/2
+        g_cap = min(M // c.m, int(Fraction(1, 2) / d) + 1)
+        for g in range(max(2, -(-m_star // c.m)), g_cap + 1):
+            add_event(g * c.m, dist=(g * d, err + math.log2(g))
+                      if 2 * g * d <= 1 else None)
+    # the fast region is complete only if the expansion reached past M
+    if m_star <= M:
+        certified_to = min(certified_to,
+                           convs[-1].m if convs else m_star - 1)
 
     evs = tuple(sorted(events.values(), key=lambda e: e.m))
     return ScanResult(events=evs, certified_to=certified_to,

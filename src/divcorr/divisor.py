@@ -8,6 +8,8 @@ and the mean square integral of Delta over [1, X].
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +164,23 @@ def _delta_at(d: np.ndarray, x: np.ndarray, out: np.ndarray,
 _CHUNK = 1 << 18
 
 
+def _ordered_map(fn, items, threads: int) -> list:
+    """[fn(*item) for item in items], run inline when threads <= 1 and else
+    in a pool of `threads` workers with at most `threads` items in flight
+    (the iterable is drawn lazily: at most one item beyond those in flight
+    is built).  Results come back in item order."""
+    if threads <= 1:
+        return [fn(*item) for item in items]
+    done, pending = [], deque()
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        for item in items:
+            if len(pending) == threads:
+                done.append(pending.popleft().result())
+            pending.append(ex.submit(fn, *item))
+        done.extend(f.result() for f in pending)
+    return done
+
+
 def gauss8_pieces(mid: np.ndarray, half: np.ndarray, d1: np.ndarray,
                   d2: np.ndarray | None = None,
                   theta: float = 1.0) -> np.ndarray:
@@ -235,27 +254,20 @@ def mean_square(X: float, table: DivisorTable | None = None) -> float:
     """
     if X < 1:
         raise ValueError("X must be >= 1")
-    if X == 1:
-        return 0.0
     n_hi = math.floor(X)
     if table is None or table.limit < n_hi:
-        table = sieve_tau(max(n_hi, 1))
+        table = sieve_tau(n_hi)
     cd = table.cumulative()
 
-    # breakpoints 1, 2, ..., floor(X), X
-    edges = np.arange(1.0, n_hi + 1.0)
-    if X > n_hi:
-        edges = np.append(edges, X)
-    left, right = edges[:-1], edges[1:]
-    dvals = cd[np.arange(1, len(left) + 1)].astype(np.float64)
-
-    mid = 0.5 * (left + right)
-    half = 0.5 * (right - left)
+    # pieces [n, min(n + 1, X)] for n = 1, ..., ceil(X) - 1, on which
+    # D = D(n), one chunk of _CHUNK pieces at a time
+    end = math.ceil(X)
     chunk_sums = []
-    for start in range(0, len(left), _CHUNK):
-        stop = min(start + _CHUNK, len(left))
-        piece = gauss8_pieces(mid[start:stop], half[start:stop],
-                              dvals[start:stop])
+    for lo in range(1, end, _CHUNK):
+        left = np.arange(lo, min(lo + _CHUNK, end), dtype=np.float64)
+        right = np.minimum(left + 1, X)
+        piece = gauss8_pieces(0.5 * (left + right), 0.5 * (right - left),
+                              cd[lo:lo + len(left)].astype(np.float64))
         chunk_sums.append(exact_sum(piece))
     return math.fsum(chunk_sums)
 

@@ -5,12 +5,11 @@ oscillatory integrals, and the spectral double sum J with its diagonal split.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divisor import DivisorTable
+from .divisor import DivisorTable, _ordered_map
 from .errors import ResourceLimit
 from .exactsum import exact_sum
 
@@ -252,13 +251,9 @@ def spectral_j(theta, params: SpectralParams, table: DivisorTable,
             sums.append((lo, hi, k))
         return sums
 
-    if step > 1:
-        # one task per worker; fsum is exact, so the order in which the
-        # rows come back does not matter
-        with ThreadPoolExecutor(max_workers=step) as ex:
-            parts = list(ex.map(rows_from, range(1, step + 1)))
-    else:
-        parts = [rows_from(1)]
+    # one task per worker; fsum is exact, so the order of the rows does not
+    # matter
+    parts = _ordered_map(rows_from, [(i,) for i in range(1, step + 1)], step)
     rows = [r for part in parts for r in part]
 
     pref = X**1.5 / (2.0 * math.pi**2)

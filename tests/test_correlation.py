@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from divcorr import correlation
+from divcorr import correlation, divisor
 from divcorr.correlation import (compare_spectral, correlate_exact,
                                  correlate_grid, fit_exponent,
                                  normalized_ratio, result_csv_row,
@@ -350,7 +350,7 @@ def test_single_chunk_sweep_runs_inline(table_2e4, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-chunk sweep opened a thread pool")
 
-    monkeypatch.setattr(correlation, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(divisor, "ThreadPoolExecutor", no_pool)
     got = correlate_grid("surd:2", 100.0, 5000.0, 6, table_2e4, threads=2)
     assert [(r.I, r.breakpoints_used) for r in got] == \
         [(r.I, r.breakpoints_used) for r in want]
@@ -366,7 +366,7 @@ def test_many_chunk_sweep_runs_in_the_pool(table_2e4, monkeypatch):
             opened.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(correlation, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(divisor, "ThreadPoolExecutor", CountingPool)
     got = correlate_grid("surd:2", 100.0, 5000.0, 6, table_2e4, threads=2)
     assert opened == [2]
     assert [(r.I, r.breakpoints_used) for r in got] == \

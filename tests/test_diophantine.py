@@ -124,6 +124,8 @@ def test_convergent_invariants_classics(spec):
 
 
 _CF40 = "cf:[0;" + ",".join(str(k % 5 + 1) for k in range(39)) + "]"
+#: e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...] to 40 quotients
+_E40 = "cf:[2;" + ",".join(f"1,{2 * k},1" for k in range(1, 14)) + "]"
 
 #: every InvariantReport field (K, determinant_ok, alternation_ok,
 #: sandwich_ok, sandwich_checked, fibonacci_ok, fibonacci_all_equal), or the
@@ -683,6 +685,16 @@ SCAN_DIGESTS = [
      "083017a9d2ff7921716614bb01e3257ff1221b325b8c59d54b821ffe2e6b2eb4"),
     ("taubeta:2/1:4", "exp:1.1", 10**5,
      "e8dd67a741b362a75d9a0f5977e18389db827c2e03b1d73dca6e92812ae7c2f4"),
+    # theta with finite data, recorded while the scan expanded a fixed 256
+    # quotients: e's first 40 quotients (the expansion stops at index 39,
+    # past M), and a Jarnik number of 7 quotients whose last denominator
+    # 538783 lies below M
+    (_E40, "pow:2", 10**5,
+     "45ebbcce3c66f7dc449bf27f781ae19a3762b33926750a61b9db5b6fe5be717b"),
+    (_E40, "exp:1.1", 10**5,
+     "75e2d9c8353dd1ef211be6bbeabe2a4f6e08eda1d7d24497528ffcd4292a3834"),
+    ("jarnik:pow:2:6", "exp:1.1", 10**6,
+     "07d87b44ee68d9dbf765c9ef8a537a99c77ae749e8b1ce209179affacee8f1ad"),
 ]
 
 

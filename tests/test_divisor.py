@@ -367,6 +367,29 @@ def test_mean_square_monotone(table_2e4):
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+#: mean_square(X, big_table).hex() at and around the chunk edges (pieces
+#: [n, n + 1) from n = 1, chunks of 2^18 pieces), recorded before
+#: mean_square streamed its pieces one chunk at a time
+_MEAN_SQUARE_HEX = {
+    1: "0x0.0p+0",
+    1.5: "0x1.3cd66d1d6da8ep-3",
+    7.5: "0x1.1ba9b8b596dc8p+2",
+    262144: "0x1.477ecb0678e98p+26",
+    262145: "0x1.478028cc90c46p+26",
+    262145.5: "0x1.4781101fd7f13p+26",
+    262146: "0x1.4781b408b5628p+26",
+    524288.5: "0x1.d1abb29218553p+27",
+    1e6: "0x1.33c139435e14ep+29",
+    1e6 + 0.25: "0x1.33c178e4930b8p+29",
+    1048577: "0x1.4a8407a1b4749p+29",
+}
+
+
+def test_mean_square_bits_are_pinned_at_chunk_edges(big_table):
+    got = {X: mean_square(X, big_table).hex() for X in _MEAN_SQUARE_HEX}
+    assert got == _MEAN_SQUARE_HEX
+
+
 def test_tong_oracle_bracket():
     # frozen reference computed from much larger partial sums at build time
     ref = 0.6542839775

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import mpmath
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from divcorr import voronoi
+from divcorr import divisor, voronoi
 from divcorr.checks import SUITES
 from divcorr.divisor import delta
 from divcorr.voronoi import (SpectralParams, a_mn, lambda_kernel,
@@ -512,6 +513,33 @@ def test_spectral_j_calls_kernel_once_per_row(table_2e4, monkeypatch):
         spectral_j(theta_parse("surd:2"), SpectralParams(X=400.0, N=N, T=30.0),
                    table_2e4, threads=threads)
         assert sizes == [N] * N, threads
+
+
+def test_one_thread_spectral_j_runs_inline(table_2e4, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-thread spectral_j opened a thread pool")
+
+    monkeypatch.setattr(divisor, "ThreadPoolExecutor", no_pool)
+    rep = spectral_j(theta_parse("surd:2"),
+                     SpectralParams(X=400.0, N=89, T=30.0), table_2e4,
+                     threads=1)
+    assert rep.term_count_lower + rep.term_count_upper == 89 * 89
+
+
+def test_two_thread_spectral_j_runs_in_the_pool(table_2e4, monkeypatch):
+    params = SpectralParams(X=400.0, N=89, T=30.0)
+    want = spectral_j(theta_parse("surd:2"), params, table_2e4, threads=1)
+    opened = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(divisor, "ThreadPoolExecutor", CountingPool)
+    got = spectral_j(theta_parse("surd:2"), params, table_2e4, threads=2)
+    assert opened == [2]
+    assert got == want
 
 
 def test_no_runtime_warning_from_kernel_or_pool(table_2e4):
