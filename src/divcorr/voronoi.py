@@ -20,6 +20,18 @@ _LAMBDA_SWITCH = 1e-3
 _SQRT2_PI = math.sqrt(2.0) * math.pi
 _4PI = 4.0 * math.pi
 
+#: spectral_j evaluates B = max(1, _BLOCK_ELEMS // N) consecutive rows per
+#: numpy call: 4 rows at N = 5623 (X = 1e5), where a worker's six (B, N)
+#: buffers take 1.1 MB; 6 to 12 rows outgrew a 2 MB L2 and ran 9-13% slower
+#: on one thread
+_BLOCK_ELEMS = 24_000
+
+#: rows shorter than _BLOCK_MIN_N run one per block.  Such a J takes a few
+#: milliseconds either way (3.5 ms row by row at N = 40, 0.5 ms in one
+#: block), and the benchmark's span test pins one lambda_kernel call per row
+#: at N = 40 (bench/test_bench.py, which changes only with the benchmark)
+_BLOCK_MIN_N = 64
+
 
 def _lambda_direct(x):
     """sin x/x + 2 cos x/x^2 - 2 sin x/x^3 in this operation order, with the
@@ -29,7 +41,7 @@ def _lambda_direct(x):
     return s / x + 2.0 * c / (x * x) - 2.0 * s / np.power(x, 3)
 
 
-def lambda_kernel(x):
+def lambda_kernel(x, work=None):
     """Continuous bounded kernel: 1/3 at 0, else
     sin(x)/x + 2 cos(x)/x^2 - 2 sin(x)/x^3.
 
@@ -42,16 +54,24 @@ def lambda_kernel(x):
     bases); the entries it cannot certify, and those with
     |x| < _LAMBDA_SWITCH, are gathered and recomputed by _lambda_direct and
     the Taylor polynomial.
+
+    work, for a float64 array x, is an optional float64 array of shape
+    (4,) + x.shape that holds the kernel's four temporaries; the result is
+    then work[0].  spectral_j's workers pass one per block of rows, so that
+    repeated calls allocate no large arrays.
     """
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    if work is None:
+        work = [np.empty_like(arr) for _ in range(4)]
+    out, s, c, p = work
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.sin(arr)
-        out = np.divide(s, arr)
-        c = np.cos(arr)
+        np.sin(arr, out=s)
+        np.divide(s, arr, out=out)
+        np.cos(arr, out=c)
         c *= 2.0
-        p = np.multiply(arr, arr)
+        np.multiply(arr, arr, out=p)
         c /= p
         out += c
         p *= arr
@@ -75,7 +95,7 @@ def lambda_kernel(x):
         np.subtract(out, p, out=p)  # r1
         out -= s                    # r2
         redo = np.not_equal(out, p)
-        redo |= np.abs(arr) < _LAMBDA_SWITCH
+        redo |= np.abs(arr, out=p) < _LAMBDA_SWITCH
         i = np.nonzero(redo)
         if i[0].size:
             xs = arr[i]
@@ -207,10 +227,18 @@ def spectral_j(theta, params: SpectralParams, table: DivisorTable,
         J = (X^{3/2} / (2 pi^2)) sum_{m,n <= N} tau(m) tau(n) (mn)^{-3/4}
                                    Lambda(a_mn sqrt(X)),
 
-    partitioned at the cutoff |a_mn sqrt(X)| <= T.  With threads > 1, worker
-    i of min(threads, N) takes the rows m = i (mod that count).  Each row
-    sum is a numpy sum with its own rounding; the row sums are added with
-    math.fsum, which is exact, so the result does not depend on threads.
+    partitioned at the cutoff |a_mn sqrt(X)| <= T.
+
+    The rows m run in blocks of B = max(1, _BLOCK_ELEMS // N) consecutive
+    rows (B = 1 for N < _BLOCK_MIN_N), so that each numpy call works on a
+    (B, N) array: a row alone is too short for a thread to keep the GIL
+    released long enough to gain from a second one.  With threads > 1,
+    worker i of k = min(threads, number of blocks) takes the blocks
+    i, i + k, ...; one block runs inline.  Each
+    element goes through the same ufuncs whatever the block, and each row's
+    sum is numpy's sum over that row's own N elements (axis=1); the row sums
+    are added with math.fsum, which is exact, so the result does not depend
+    on threads or on B.
     """
     X, N, T = params.X, params.N, params.T
     if N < 0:
@@ -231,29 +259,38 @@ def spectral_j(theta, params: SpectralParams, table: DivisorTable,
     sqrt_n = np.sqrt(n)
     sX = math.sqrt(X)
 
-    step = min(threads, N) if threads > 1 else 1
+    B = max(1, _BLOCK_ELEMS // N) if N >= _BLOCK_MIN_N else 1
+    blocks = -(-N // B)
+    step = min(threads, blocks) if threads > 1 else 1
 
-    def rows_from(first):
-        # rows first, first + step, ...; u and the coefficient products
-        # live in two buffers reused from row to row
-        u, t = np.empty(N), np.empty(N)
+    def blocks_from(first):
+        # blocks first, first + step, ...; u, the coefficient products and
+        # the kernel's four temporaries (the first then takes |u|) live in
+        # six (B, N) buffers reused from block to block
+        buf = np.empty((6, B, N))
         sums = []
-        for m in range(first, N + 1, step):
-            np.subtract(math.sqrt(m * th), sqrt_n, out=u)
+        for b0 in range(1 + first * B, N + 1, step * B):
+            ms = range(b0, min(b0 + B, N + 1))
+            u, t, work = buf[0, :len(ms)], buf[1, :len(ms)], buf[2:, :len(ms)]
+            sm = np.array([math.sqrt(m * th) for m in ms])
+            np.subtract(sm[:, None], sqrt_n, out=u)
             u *= _4PI
             u *= sX
-            np.multiply(coef[m - 1], coef, out=t)
-            t *= lambda_kernel(u)
-            mask = np.abs(u) <= T
-            k = int(np.count_nonzero(mask))
-            lo = float(np.sum(t, where=mask)) if k else 0.0
-            hi = float(np.sum(t, where=~mask)) if k < N else 0.0
-            sums.append((lo, hi, k))
+            np.multiply(coef[b0 - 1:ms.stop - 1, None], coef, out=t)
+            t *= lambda_kernel(u, work)
+            if T == math.inf:  # u is finite: every term is lower diagonal
+                sums.extend((lo, 0.0, N) for lo in np.sum(t, axis=1).tolist())
+                continue
+            mask = np.abs(u, out=work[0]) <= T
+            k = np.count_nonzero(mask, axis=1).tolist()
+            lo = np.sum(t, axis=1, where=mask).tolist()
+            hi = np.sum(t, axis=1, where=~mask).tolist()
+            sums.extend(zip(lo, hi, k))
         return sums
 
     # one task per worker; fsum is exact, so the order of the rows does not
     # matter
-    parts = _ordered_map(rows_from, [(i,) for i in range(1, step + 1)], step)
+    parts = _ordered_map(blocks_from, [(i,) for i in range(step)], step)
     rows = [r for part in parts for r in part]
 
     pref = X**1.5 / (2.0 * math.pi**2)

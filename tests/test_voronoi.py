@@ -103,6 +103,11 @@ def _assert_kernel_bits(xs):
     with np.errstate(all="ignore"):  # the masked cube overflows, nan, inf
         want = _lambda_masked(xs)
     assert lambda_kernel(xs).tobytes() == want.tobytes()
+    # the same bytes with the temporaries in a caller's workspace, whose
+    # first slice is the result
+    work = np.full((4,) + xs.shape, np.nan)
+    assert lambda_kernel(xs, work).tobytes() == want.tobytes()
+    assert work[0].tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -479,9 +484,11 @@ def _spectral_rows_oracle(theta, params, table):
     return d_lower + d_upper, d_lower, d_upper, count, N * N - count
 
 
-def test_spectral_j_equals_row_oracle(table_2e4):
+def test_spectral_j_equals_row_oracle(table_2e4, monkeypatch):
     # N = 89 is prime, so with 2 or 3 workers the rows split unevenly;
-    # rat:1/1 has u == 0 on its diagonal (the Taylor branch)
+    # rat:1/1 has u == 0 on its diagonal (the Taylor branch).  The default
+    # block budget gives one block of all 89 rows; 7 * 89 elements give 12
+    # blocks of 7 rows and a tail of 5, and 1 element gives one row a block
     N = 89
     for spec in ("surd:2", "taubeta:2/1:4", "rat:1/1"):
         theta = theta_parse(spec)
@@ -490,29 +497,69 @@ def test_spectral_j_equals_row_oracle(table_2e4):
             want = _spectral_rows_oracle(theta, params, table_2e4)
             if T < math.inf:
                 assert 0 < want[3] < N * N, spec
-            for threads in (1, 2, 3):
-                rep = spectral_j(theta, params, table_2e4, threads=threads)
-                got = (rep.J_total, rep.D_lower, rep.D_upper,
-                       rep.term_count_lower, rep.term_count_upper)
-                assert got == want, (spec, T, threads)
+            for elems in (voronoi._BLOCK_ELEMS, 7 * N, 1):
+                monkeypatch.setattr(voronoi, "_BLOCK_ELEMS", elems)
+                for threads in (1, 2, 3):
+                    rep = spectral_j(theta, params, table_2e4,
+                                     threads=threads)
+                    got = (rep.J_total, rep.D_lower, rep.D_upper,
+                           rep.term_count_lower, rep.term_count_upper)
+                    assert got == want, (spec, T, elems, threads)
 
 
-def test_spectral_j_calls_kernel_once_per_row(table_2e4, monkeypatch):
-    # one lambda_kernel call per row, on the whole row: the benchmark's
-    # voronoi.lambda_calls counts them
-    sizes = []
+def _kernel_rows(monkeypatch, spec, X, N):
+    """Route spectral_j's lambda_kernel calls through a recorder; returns
+    the list of the row numbers m of each call's (b, N) argument."""
+    th = float(theta_parse(spec))
+    sqrt_n = np.sqrt(np.arange(1, N + 1, dtype=np.float64))
+    row_of = {((math.sqrt(m * th) - sqrt_n) * (4.0 * math.pi)
+               * math.sqrt(X)).tobytes(): m for m in range(1, N + 1)}
+    calls = []
     kernel = voronoi.lambda_kernel
 
-    def counting(u):
-        sizes.append(u.size)
-        return kernel(u)
-    monkeypatch.setattr(voronoi, "lambda_kernel", counting)
+    def recording(u, work=None):
+        assert u.ndim == 2 and u.shape[1] == N
+        calls.append([row_of[row.tobytes()] for row in u])
+        return kernel(u, work)
+    monkeypatch.setattr(voronoi, "lambda_kernel", recording)
+    return calls
+
+
+def test_spectral_j_calls_kernel_once_per_block(table_2e4, monkeypatch):
+    # one lambda_kernel call per block, on B consecutive whole rows (fewer
+    # in the tail block): the benchmark's voronoi.lambda_calls counts them.
+    # Budgets: the default (one block of 89 rows), 7 rows a block with a
+    # tail of 5, 4 rows a block with a tail of 1, and one row a block
     N = 89
-    for threads in (1, 2, 3):
-        sizes.clear()
-        spectral_j(theta_parse("surd:2"), SpectralParams(X=400.0, N=N, T=30.0),
-                   table_2e4, threads=threads)
-        assert sizes == [N] * N, threads
+    calls = _kernel_rows(monkeypatch, "surd:2", 400.0, N)
+    for elems in (voronoi._BLOCK_ELEMS, 7 * N, 4 * N + 88, 1):
+        monkeypatch.setattr(voronoi, "_BLOCK_ELEMS", elems)
+        B = max(1, elems // N)
+        for threads in (1, 2, 3):
+            calls.clear()
+            spectral_j(theta_parse("surd:2"),
+                       SpectralParams(X=400.0, N=N, T=30.0), table_2e4,
+                       threads=threads)
+            assert len(calls) == -(-N // B), (elems, threads)
+            for rows in calls:
+                assert 1 <= len(rows) <= B
+                assert rows == list(range(rows[0], rows[0] + len(rows)))
+            assert sorted(m for rows in calls for m in rows) == list(
+                range(1, N + 1)), (elems, threads)
+
+
+def test_short_rows_run_one_per_block(table_2e4, monkeypatch):
+    # below _BLOCK_MIN_N each row is its own block whatever the budget, as
+    # the benchmark's span test expects at N = 40
+    N = 40
+    assert N < voronoi._BLOCK_MIN_N <= 89
+    calls = _kernel_rows(monkeypatch, "surd:2", 100.0, N)
+    for threads in (1, 2):
+        calls.clear()
+        spectral_j(theta_parse("surd:2"),
+                   SpectralParams(X=100.0, N=N, T=math.inf), table_2e4,
+                   threads=threads)
+        assert sorted(calls) == [[m] for m in range(1, N + 1)], threads
 
 
 def test_one_thread_spectral_j_runs_inline(table_2e4, monkeypatch):
@@ -526,9 +573,9 @@ def test_one_thread_spectral_j_runs_inline(table_2e4, monkeypatch):
     assert rep.term_count_lower + rep.term_count_upper == 89 * 89
 
 
-def test_two_thread_spectral_j_runs_in_the_pool(table_2e4, monkeypatch):
-    params = SpectralParams(X=400.0, N=89, T=30.0)
-    want = spectral_j(theta_parse("surd:2"), params, table_2e4, threads=1)
+def _count_pools(monkeypatch):
+    """Record the max_workers of each thread pool that divisor._ordered_map
+    opens; returns the list."""
     opened = []
 
     class CountingPool(ThreadPoolExecutor):
@@ -537,9 +584,54 @@ def test_two_thread_spectral_j_runs_in_the_pool(table_2e4, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(divisor, "ThreadPoolExecutor", CountingPool)
+    return opened
+
+
+def test_two_thread_spectral_j_runs_in_the_pool(table_2e4, monkeypatch):
+    # 7 rows a block: 13 blocks for 2 workers
+    monkeypatch.setattr(voronoi, "_BLOCK_ELEMS", 7 * 89)
+    params = SpectralParams(X=400.0, N=89, T=30.0)
+    want = spectral_j(theta_parse("surd:2"), params, table_2e4, threads=1)
+    opened = _count_pools(monkeypatch)
     got = spectral_j(theta_parse("surd:2"), params, table_2e4, threads=2)
     assert opened == [2]
     assert got == want
+
+
+def test_one_block_spectral_j_runs_inline(table_2e4, monkeypatch):
+    # at N = 89 the default budget makes all rows one block, which runs
+    # inline at any thread count
+    params = SpectralParams(X=400.0, N=89, T=30.0)
+    assert voronoi._BLOCK_ELEMS // params.N >= params.N
+    want = spectral_j(theta_parse("surd:2"), params, table_2e4, threads=1)
+    opened = _count_pools(monkeypatch)
+    got = spectral_j(theta_parse("surd:2"), params, table_2e4, threads=2)
+    assert opened == []
+    assert got == want
+
+
+@pytest.mark.parametrize("N", [8191, 8193, 16385, 44000])
+def test_row_sums_of_a_block_equal_the_row_alone(N):
+    # the numpy property spectral_j's blocks rest on: row i of a (B, N)
+    # sum along axis 1, masked or not, is byte-equal to the sum of row i
+    # alone, across numpy's 8192-element buffer
+    rng = np.random.default_rng(N)
+    ones = np.ones(N, dtype=bool)
+    for B in range(1, 6):
+        t = rng.standard_normal((B, N)) * 10.0 ** rng.uniform(-6, 6, (B, N))
+        lo = rng.integers(0, N, B)
+        width = rng.integers(0, N, B)
+        width[0] = 0  # an empty band
+        idx = np.arange(N)
+        band = (idx >= lo[:, None]) & (idx < (lo + width)[:, None])
+        for mask in (band, ~band, np.ones((B, N), dtype=bool)):
+            got = np.sum(t, axis=1, where=mask)
+            for i in range(B):
+                assert got[i].tobytes() == np.sum(t[i], where=mask[i]).tobytes()
+        got = np.sum(t, axis=1)
+        for i in range(B):
+            assert got[i].tobytes() == np.sum(t[i], where=ones).tobytes()
+            assert got[i].tobytes() == np.sum(t[i]).tobytes()
 
 
 def test_no_runtime_warning_from_kernel_or_pool(table_2e4):
