@@ -8,6 +8,7 @@ against the spectral sum.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -76,67 +77,29 @@ def _first_n_at_or_above(v: float, th: float, n_lo: int, n_hi: int) -> int:
     return n
 
 
-def _breakpoint_windows(th: float, Xmax: float, grid: np.ndarray):
-    """The sorted breakpoints of [1, Xmax], one value window [a, a + W) at a
-    time, with W about _CHUNK / (1 + th) so a window holds about _CHUNK.
-
-    Yields the sorted values of each window.  The breakpoints are 1.0 (in
-    the first window), the integers 2..floor(Xmax), n / th for
-    floor(th) < n <= floor(th Xmax), and the grid.  All equal values fall
-    in one window, so the windows concatenate to the global sort.  Values
-    above Xmax + _MERGE_TOL are dropped.
-    """
-    width = max(1, int(_CHUNK / (1 + th)))
-    i_hi = math.floor(Xmax)
-    n_lo, n_hi = math.floor(th) + 1, math.floor(th * Xmax)
-    top = Xmax + _MERGE_TOL
-    n, g = n_lo, 0
-    a = 1
-    while a <= top:
-        b = a + width
-        n_end = _first_n_at_or_above(b, th, n, n_hi)
-        g_end = int(np.searchsorted(grid, b, side="left"))
-        vals = np.concatenate((
-            [1.0] if a == 1 else [],
-            np.arange(max(a, 2), min(b, i_hi + 1), dtype=np.float64),
-            np.arange(n, n_end, dtype=np.float64) / th,
-            grid[g:g_end]))
-        vals.sort(kind="stable")  # timsort: merges the four sorted runs
-        if b > top:
-            vals = vals[vals <= top]
-        yield vals
-        a, n, g = b, n_end, g_end
-
-
-def _d_index(left: np.ndarray, i_hi: int) -> np.ndarray:
-    """The n with D(x) = D(n) on each piece [left, right): min(floor(left),
-    floor(Xmax)), which is 1 plus the count of integer breakpoints 2..i_hi
-    up to left (left >= 1)."""
-    idx = left.astype(np.int64)
-    return np.minimum(idx, i_hi, out=idx)
-
-
 def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
            threads: int = 1) -> list[CorrelationResult]:
     """One streaming pass over [1, max(xs)] returning I at every requested
-    X.  Breakpoints: integers (where Delta(x) jumps), n/theta (where
-    Delta(theta x) jumps), and the requested prefix ends.
+    X.  Breakpoints: 1.0, the integers (where Delta(x) jumps), n/theta
+    (where Delta(theta x) jumps) and the requested prefix ends, up to
+    Xmax + _MERGE_TOL.
 
-    The breakpoints come in value windows (_breakpoint_windows) and are cut
-    into chunks of _CHUNK pieces at global piece-index multiples of _CHUNK,
-    with the right endpoint carried from one chunk into the next.  Only
-    values stream: a piece's D(x) and D(theta x) indices and the position
-    of each grid X follow in closed form from global piece indices.  Each
+    One closed-form count, below(v), of the breakpoints below v gives each
+    grid X's global index, the number of pieces and each chunk of _CHUNK
+    pieces from global index start: bisecting the integers finds a window
+    [a, b) that holds the chunk's _CHUNK + 1 breakpoints, which are sliced
+    from its sorted values at start - below(a) (equal values never
+    straddle an integer, so the slice is the global sort's).  A piece's
+    D(x) and D(theta x) indices follow from its global index too.  Each
     chunk is integrated by gauss8_pieces and reduced to exact_sum of its
-    pieces and, for each grid X inside it, exact_sum of its pieces before X
-    (exact_prefix_sums: the exact sums of the segments between grid points
-    are added as integers, so no piece is read twice).
-    A correctly rounded sum is unique, so these are the floats math.fsum
-    returns; then the chunk is dropped.  I(X) is the fsum of the earlier
-    chunk sums plus that partial sum.  Memory is O(threads * _CHUNK)
-    besides the table, and the chunk boundaries, hence the output bits, do
-    not depend on the window width or on `threads` (with more than _CHUNK
-    estimated pieces, _ordered_map runs the chunks on `threads` workers).
+    pieces and, for each grid X inside it, exact_sum of its pieces before
+    X (exact_prefix_sums: the exact sums of the segments between grid
+    points are added as integers, so no piece is read twice).  A correctly
+    rounded sum is unique, so these are the floats math.fsum returns; then
+    the chunk is dropped.  I(X) is the fsum of the earlier chunk sums plus
+    that partial sum.  Memory is O(threads * _CHUNK) besides the table,
+    and the output bits do not depend on `threads` (with more than one
+    chunk, _ordered_map runs the chunks on `threads` workers).
     """
     th = float(theta)
     if th <= 0:
@@ -159,38 +122,53 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
     cd = table.cumulative()
     i_hi = math.floor(Xmax)
     n_lo, n_hi = math.floor(th) + 1, math.floor(th * Xmax)
-    # global index of each grid X's first equal breakpoint: the count of
-    # breakpoints below X, which are 1.0, the integers 2..ceil(X) - 1, the
-    # n / th below X and the k grid points before it
-    grid_at = [int(x > 1) + max(0, min(i_hi, math.ceil(x) - 1) - 1)
-               + _first_n_at_or_above(x, th, n_lo, n_hi) - n_lo + k
-               for k, x in enumerate(xs_sorted)]
+    past = math.nextafter(Xmax + _MERGE_TOL, math.inf)
 
-    def chunks():
-        """(start, vals) of each chunk: its _CHUNK + 1 breakpoints from
-        global index start."""
-        start, vals = 0, np.empty(0)
-        for window in _breakpoint_windows(th, Xmax, np.asarray(xs_sorted)):
-            vals = np.concatenate((vals, window))
-            while len(vals) > _CHUNK:
-                yield start, vals[:_CHUNK + 1]
-                start += _CHUNK
-                vals = vals[_CHUNK:]
-        if len(vals) > 1:
-            yield start, vals
+    def below(v):
+        """How many breakpoints lie below min(v, past)."""
+        v = min(v, past)
+        return (int(v > 1) + max(0, min(i_hi, math.ceil(v) - 1) - 1)
+                + _first_n_at_or_above(v, th, n_lo, n_hi) - n_lo
+                + bisect.bisect_left(xs_sorted, v))
+
+    # global index of each grid X's first equal breakpoint
+    grid_at = [below(x) for x in xs_sorted]
+    n_pieces = below(past) - 1
+    ints = range(1, math.ceil(past) + 1)
+
+    def values(start):
+        """The breakpoints at global indices start..start + _CHUNK, from
+        the integer window [a, b) with below(a) <= start and b the least
+        integer with below(b) > start + _CHUNK."""
+        a = bisect.bisect_right(ints, start, key=below)
+        b = bisect.bisect_right(ints, start + _CHUNK, key=below) + 1
+        vals = np.concatenate((
+            [1.0] if a == 1 else [],
+            np.arange(max(a, 2), min(b, i_hi + 1), dtype=np.float64),
+            np.arange(_first_n_at_or_above(a, th, n_lo, n_hi),
+                      _first_n_at_or_above(min(b, past), th, n_lo, n_hi),
+                      dtype=np.float64) / th,
+            xs_sorted[bisect.bisect_left(xs_sorted, a):
+                      bisect.bisect_left(xs_sorted, b)]))
+        vals.sort(kind="stable")  # timsort: merges the four sorted runs
+        i = start - below(a)
+        return vals[i:i + _CHUNK + 1]
 
     def integrate(start, vals):
         left, right = vals[:-1], vals[1:]
         width = right - left
         offs = [i - start for i in grid_at if start < i < start + _CHUNK]
-        idx = _d_index(left, i_hi)
+        # D(x) index: min(floor(left), floor(Xmax)), which is 1 plus the
+        # count of integer breakpoints 2..i_hi up to left (left >= 1)
+        idx = left.astype(np.int64)
+        np.minimum(idx, i_hi, out=idx)
         d1 = cd[idx].astype(np.float64)
         # D(theta x) index: on a live piece j the breakpoints up to left are
         # the first start + j + 1, namely 1.0, idx - 1 integers, the grid X
         # at or before global index start + j, and the n / th from
         # floor(th) + 1 on.  A dead piece's index may be -1, a valid read:
         # the piece is zeroed below.
-        k = math.floor(th) + start + 1 - sum(i <= start for i in grid_at)
+        k = n_lo + start - sum(i <= start for i in grid_at)
         np.subtract(np.arange(k, k + len(left)), idx, out=idx)
         for off in offs:
             idx[off:] -= 1
@@ -200,10 +178,14 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
         sums = exact_prefix_sums(piece, offs + [len(piece)])
         return sums[-1], {start + off: p for off, p in zip(offs, sums)}
 
-    # a single chunk runs inline, so its temporaries stay in the main
-    # thread's malloc arena
-    done = _ordered_map(integrate, chunks(),
-                        threads if est_pieces > _CHUNK else 1)
+    # the values are built as the pool draws each chunk, so chunk c + 1's
+    # window is allocated while chunk c's is alive (built inside integrate,
+    # glibc trims and regrows the heap under gauss8_pieces' buffers on
+    # every chunk); a single chunk runs inline, so its temporaries stay in
+    # the main thread's malloc arena
+    starts = range(0, n_pieces, _CHUNK)
+    done = _ordered_map(integrate, ((s, values(s)) for s in starts),
+                        threads if len(starts) > 1 else 1)
     chunk_totals = [total for total, _ in done]
     # grid index -> fsum of its chunk's pieces before it
     partial = {i: p for _, parts in done for i, p in parts.items()}

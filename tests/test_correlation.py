@@ -280,8 +280,8 @@ def test_streaming_sweep_matches_materialised(spec, chunk, monkeypatch,
     theta = theta_parse(spec)
     th = float(theta)
     # about 6 chunks of pieces (2.2 at the default size), so that many
-    # windows and counter carries run; integer endpoint, duplicate points,
-    # and 7.5, which is n/theta for rat:2/1
+    # chunk starts run, each bisecting for its own window; integer
+    # endpoint, duplicate points, and 7.5, which is n/theta for rat:2/1
     chunks = 6 if chunk < correlation._CHUNK else 2.2
     Xmax = float(max(20, math.ceil(chunks * chunk / (1 + th))))
     xs = [1.0, 2.0, 7.5, 7.5, Xmax / 3, Xmax / 3, Xmax - 1, Xmax]
@@ -313,6 +313,9 @@ def test_streaming_sweep_matches_materialised(spec, chunk, monkeypatch,
     # Xmax one ulp below 400, which is a breakpoint n/theta for rat:1/5,
     # kept within _MERGE_TOL: its floor is above floor(Xmax)
     [5.0, 399.99999999999994],
+    # 100 grid points inside (7, 8): whole chunks of 64 pieces fall inside
+    # one integer window [a, b)
+    [7.005 + 0.0099 * k for k in range(100)] + [1000.0],
 ])
 @pytest.mark.parametrize("spec", SWEEP_THETAS + ["rat:1/5"])
 def test_d_index_counts_the_integer_breakpoints(spec, xs, monkeypatch):
