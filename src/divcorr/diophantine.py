@@ -747,42 +747,46 @@ class ScanResult:
         return [e.m for e in self.events if e.hit]
 
 
-def _compare_dist_threshold(d: Fraction, err: float, psi: PsiFunction,
-                            m: int) -> bool:
-    """Certified comparison dist < 1/psi(m), where dist = d +- 2^err.
+def _compare_dist_threshold(num: int, den: int, err: float,
+                            psi: PsiFunction, m: int) -> bool:
+    """Certified comparison dist < 1/psi(m), where dist = num/den +- 2^err
+    and num/den, the anchor distance, is a reduced pair (num >= 0,
+    den >= 1).  l2d = log2_ratio(num, den) is the float that log2_fraction
+    gives on Fraction(num, den), so the pair is decided on the same floats
+    and integers as that Fraction, with no Fraction arithmetic.
 
-    Screen: for m <= 2**53, l2d = log2_fraction(d) and l2thr = -psi.log2(m)
-    are floats within 2**-20 of the exact logs while both are at most 2**30
-    in magnitude (measured against a 256-bit reference in
-    tests/test_realfield.py).  When they differ by more than 1 bit, the
-    order of d and 1/psi(m) is the order of the floats, and the larger value
-    exceeds the smaller by a factor above 2**(1 - 2**-19), so the exact gap
-    is at least half the larger: log2(gap) >= max(l2d, l2thr) - 1 - 2**-17.
-    A radius err <= max(l2d, l2thr) - 3 therefore stays below the exact
-    test's limit log2(gap) - 1, and the screen returns what that test would.
+    Screen: for m <= 2**53, l2d and l2thr = -psi.log2(m) are floats within
+    2**-20 of the exact logs while both are at most 2**30 in magnitude
+    (measured against a 256-bit reference in tests/test_realfield.py).
+    When they differ by more than 1 bit, the order of num/den and 1/psi(m)
+    is the order of the floats, and the larger value exceeds the smaller by
+    a factor above 2**(1 - 2**-19), so the exact gap is at least half the
+    larger: log2(gap) >= max(l2d, l2thr) - 1 - 2**-17.  A radius
+    err <= max(l2d, l2thr) - 3 therefore stays below the exact test's limit
+    log2(gap) - 1, and the screen returns what that test would.
 
     Families with an exact psi(m) = P/Q take that bound; the exact test
-    compares d.numerator * P with Q * d.denominator.  The others keep the
-    bound min(l2d, l2thr) - 3, because their fallback, a comparison in log2
-    with a 1e-6 guard band, already gives up at err > min(l2d, l2thr) - 2.
+    compares num * P with Q * den.  The others keep the bound
+    min(l2d, l2thr) - 3, because their fallback, a comparison in log2 with
+    a 1e-6 guard band, already gives up at err > min(l2d, l2thr) - 2.
     """
     l2thr = -psi.log2(m)
-    l2d = log2_fraction(d) if d > 0 else -_INF
+    l2d = log2_ratio(num, den) if num else -_INF
     screen = max(l2d, l2thr) if psi.has_exact_pair else min(l2d, l2thr)
     if (m <= _SCREEN_M_MAX and abs(l2d - l2thr) > 1
             and max(abs(l2d), abs(l2thr)) <= _SCREEN_LOG2_MAX
             and err <= screen - 3):
         return l2d < l2thr
     if psi.has_exact_pair:
-        # d < Q/P  <=>  d.numerator * P < Q * d.denominator
+        # num/den < Q/P  <=>  num * P < Q * den
         P, Q = psi.exact_pair(m)
-        diff = d.numerator * P - Q * d.denominator
+        diff = num * P - Q * den
         if diff == 0:
             if err != -_INF:
                 raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
             return False  # boundary: strict inequality fails
-        # gap = |d - Q/P| = |diff| / (d.denominator * P)
-        if err != -_INF and err > log2_ratio(abs(diff), d.denominator * P) - 1:
+        # gap = |num/den - Q/P| = |diff| / (den * P)
+        if err != -_INF and err > log2_ratio(abs(diff), den * P) - 1:
             raise PrecisionExhausted(f"scan comparison unresolved at m={m}")
         return diff < 0
     # no exact threshold available: compare in log2 with a wide guard band
@@ -804,10 +808,13 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
     legendre_hits).  Only those multiples are tested there, and each takes
     its distance from the convergent's resolved one: while g d <= 1/2,
     ||g q_k theta|| is g d with radius g 2^err, the same relative radius.
+    With d = p/q reduced, that is 2 g p <= q, and g d is the reduced pair
+    of Fraction(g p, q).
 
-    Each event is decided from the exact anchor distance, log2 values and,
-    for near-ties, integer cross-multiplication, without building psi(m):
-    its 96-bit `dist` and `threshold` are computed only when read.
+    Each event is decided on the reduced pair of its exact anchor distance,
+    from log2 values and, for near-ties, integer cross-multiplication, with
+    no Fraction arithmetic and without building psi(m): its 96-bit `dist`
+    and `threshold` are computed only when read.
 
     certified_to is M unless a distance or comparison does not resolve at
     some m (then at most m - 1), or m* <= M and the certified expansion
@@ -841,7 +848,8 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
             return
         try:
             d, err = dist or _resolve_distance(theta, m)
-            hit = _compare_dist_threshold(d, err, psi, m)
+            hit = _compare_dist_threshold(d.numerator, d.denominator, err,
+                                          psi, m)
         except PrecisionExhausted:
             certified_to = min(certified_to, m - 1)
             return
@@ -865,11 +873,13 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
         add_event(c.m, True, (d, err))
         if m_star > M:
             continue
-        # a fast-region hit at g*m_k forces g*||m_k theta|| < 1/2
-        g_cap = min(M // c.m, int(Fraction(1, 2) / d) + 1)
+        # a fast-region hit at g*m_k forces g*||m_k theta|| < 1/2, that is
+        # 2 g p <= q: g_cap is the first g past that bound
+        p, q = d.numerator, d.denominator
+        g_cap = min(M // c.m, q // (2 * p) + 1)
         for g in range(max(2, -(-m_star // c.m)), g_cap + 1):
-            add_event(g * c.m, dist=(g * d, err + math.log2(g))
-                      if 2 * g * d <= 1 else None)
+            add_event(g * c.m, dist=(Fraction(g * p, q), err + math.log2(g))
+                      if 2 * g * p <= q else None)
     # the fast region is complete only if the expansion reached past M
     if m_star <= M:
         certified_to = min(certified_to,

@@ -90,6 +90,10 @@ def log2_ratio(p: int, q: int) -> float:
     """log2(p / q) for positive ints p, q, which need not be coprime: from
     the top 53 bits and the bit length of each, with no gcd."""
     pb, qb = p.bit_length(), q.bit_length()
+    if pb <= 53 and qb <= 53:
+        # both exact as floats: the same value as below, which adds 0 to
+        # each log
+        return math.log2(p) - math.log2(q)
     # scale both into float range
     ps = p >> (pb - 53) if pb > 53 else p
     qs = q >> (qb - 53) if qb > 53 else q

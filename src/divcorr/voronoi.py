@@ -96,7 +96,9 @@ def lambda_kernel(x, work=None):
         out -= s                    # r2
         redo = np.not_equal(out, p)
         redo |= np.abs(arr, out=p) < _LAMBDA_SWITCH
-        i = np.nonzero(redo)
+        # the same indices as np.nonzero(redo), in the same order; on a
+        # 2-D mask np.nonzero is several times slower
+        i = np.unravel_index(np.flatnonzero(redo), redo.shape)
         if i[0].size:
             xs = arr[i]
             ys = _lambda_direct(xs)

@@ -347,6 +347,36 @@ def test_d_index_counts_the_integer_breakpoints(spec, xs, monkeypatch):
         np.searchsorted(vals, sorted(set(xs)), side="left").tolist()
 
 
+@pytest.mark.parametrize("chunk", [1000, correlation._CHUNK])
+@pytest.mark.parametrize("spec,X,n", [("rat:7/5", 61725.0, 86415),
+                                      ("rat:23/9", 111105.0, 283935)])
+def test_sweep_drops_breakpoint_one_ulp_past_the_cap(spec, X, n, chunk,
+                                                     monkeypatch, big_table):
+    # n / theta is the first double above Xmax + _MERGE_TOL (which rounds
+    # to Xmax), so it is not a breakpoint; below() and values() each cap
+    # their reach at that double.  Without the caps the last chunk carries
+    # pieces past Xmax, which no I(X) sums, so the kernel's piece count is
+    # checked along with the results
+    theta = theta_parse(spec)
+    th = float(theta)
+    assert n / th == math.nextafter(X + correlation._MERGE_TOL, math.inf)
+    xs = [1.0, X / 2, X]
+    want = materialised_sweep(th, xs, big_table, chunk)
+    vals, _ = materialised_breakpoints(th, xs)
+    assert vals[-1] == X
+    pieces = []
+
+    def kernel(mid, *args):
+        pieces.append(len(mid))
+        return gauss8_pieces(mid, *args)
+
+    monkeypatch.setattr(correlation, "gauss8_pieces", kernel)
+    monkeypatch.setattr(correlation, "_CHUNK", chunk)
+    got = correlation._sweep(theta, xs, big_table)
+    assert [(r.X, r.I, r.breakpoints_used) for r in got] == want
+    assert sum(pieces) == len(vals) - 1
+
+
 def test_single_chunk_sweep_runs_inline(table_2e4, monkeypatch):
     want = correlate_grid("surd:2", 100.0, 5000.0, 6, table_2e4, threads=1)
 

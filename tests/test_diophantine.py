@@ -695,6 +695,10 @@ SCAN_DIGESTS = [
      "75e2d9c8353dd1ef211be6bbeabe2a4f6e08eda1d7d24497528ffcd4292a3834"),
     ("jarnik:pow:2:6", "exp:1.1", 10**6,
      "07d87b44ee68d9dbf765c9ef8a537a99c77ae749e8b1ce209179affacee8f1ad"),
+    # 8132 events, nearly all multiples g*q_k in the fast region; recorded
+    # before the scan decided them on integer pairs instead of Fractions
+    ("taubeta:2/1:4", "exp:1.5", 2**24,
+     "d2c6f211bc12719ea50bea8db789f4be2c8018c22fd151c5b95b55f4d37560e5"),
 ]
 
 
@@ -707,8 +711,17 @@ def _scan_digest(res) -> str:
     return h.hexdigest()
 
 
+def _scan_ids(scans) -> list[str]:
+    """theta-psi for each scan, and theta-psi-M where an earlier scan has
+    the same theta and psi."""
+    ids = []
+    for t, p, M, _ in scans:
+        ids.append(f"{t}-{p}" if f"{t}-{p}" not in ids else f"{t}-{p}-{M}")
+    return ids
+
+
 @pytest.mark.parametrize("theta,psi,M,digest", SCAN_DIGESTS,
-                         ids=[f"{t}-{p}" for t, p, _, _ in SCAN_DIGESTS])
+                         ids=_scan_ids(SCAN_DIGESTS))
 def test_scan_events_are_pinned(theta, psi, M, digest):
     res = dio.approximability_scan(dio.theta_parse(theta), psi_parse(psi), M)
     assert _scan_digest(res) == digest
@@ -816,17 +829,23 @@ _COMPARE_PSIS = ["exp:3/2", "exp:3", "exp:7/5", "pow:3", "pow:2", "pow:5/2",
 
 
 @st.composite
-def _comparisons(draw):
-    """(d, err, psi, m): d exactly at 1/psi(m), within a bit of it, or far
-    from it; err exact (-inf), on or near a decision limit, or far below
-    it."""
+def _psi_bounds(draw):
+    """(psi, m, 1/psi(m)): exact for the families with an exact pair, else
+    to 160 bits."""
     psi = psi_parse(draw(st.sampled_from(_COMPARE_PSIS)))
     m = draw(st.integers(1, 8 if psi.text.endswith("expexp") else 2000))
     exact = psi.eval_fraction(m)
     if exact is not None:
-        bound = 1 / exact
-    else:
-        bound = to_fraction(1 / psi.eval(m, 160))
+        return psi, m, 1 / exact
+    return psi, m, to_fraction(1 / psi.eval(m, 160))
+
+
+@st.composite
+def _comparisons(draw):
+    """(d, err, psi, m): d exactly at 1/psi(m), within a bit of it, or far
+    from it; err exact (-inf), on or near a decision limit, or far below
+    it."""
+    psi, m, bound = draw(_psi_bounds())
     where = draw(st.sampled_from(["tie", "near", "far"]))
     if where == "tie":
         d = bound
@@ -866,9 +885,30 @@ def _comparisons(draw):
     return d, err, psi, m
 
 
-def _outcome(compare, d, err, psi, m):
+@st.composite
+def _screen_edges(draw):
+    """(d, err, psi, m) at the edges of the log2 screen: d is 2(1 + h) times
+    1/psi(m) or that bound over 2(1 + h), with h = 0 or 2^-68 <= |h| <= 1/4,
+    so |l2d - l2thr| lies on either side of 1 or on it; err is within a
+    hair of screen - 3, the largest radius the screen decides, or of the
+    limit of the test that decides past it."""
+    psi, m, bound = draw(_psi_bounds())
+    h = Fraction(draw(st.integers(-2**8, 2**8)), 2**draw(st.integers(10, 68)))
+    d = bound * 2 * (1 + h) if draw(st.booleans()) else bound / (2 * (1 + h))
+    l2d, l2thr = log2_fraction(d), -psi.log2(m)
+    screen = max(l2d, l2thr) if psi.has_exact_pair else min(l2d, l2thr)
+    gap_limit = log2_fraction(abs(d - bound)) - 1
+    limit = draw(st.sampled_from([screen - 3, min(l2d, l2thr) - 2, gap_limit]))
+    u = draw(st.sampled_from([0.0, 2**-40, -2**-40]) | st.floats(-0.01, 0.01))
+    err = limit + u
+    # clear of the exact test's limit, as in _comparisons
+    assume(abs(err - gap_limit) >= 1e-6)
+    return d, err, psi, m
+
+
+def _outcome(compare, *args):
     try:
-        return compare(d, err, psi, m)
+        return compare(*args)
     except PrecisionExhausted as e:
         return str(e)
 
@@ -880,12 +920,24 @@ def _on_fallback_limit():
     return d, min(log2_fraction(d), -psi.log2(m)) - 2, psi, m
 
 
+def _assert_compare_matches_oracle(d, err, psi, m):
+    # the scan passes the anchor distance as its reduced pair
+    assert (_outcome(dio._compare_dist_threshold, d.numerator, d.denominator,
+                     err, psi, m)
+            == _outcome(_fraction_compare, d, err, psi, m))
+
+
 @settings(max_examples=400, deadline=None)
 @given(_comparisons())
 @example(_on_fallback_limit())
 def test_compare_matches_fraction_oracle(case):
-    assert (_outcome(dio._compare_dist_threshold, *case)
-            == _outcome(_fraction_compare, *case))
+    _assert_compare_matches_oracle(*case)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_screen_edges())
+def test_compare_matches_fraction_oracle_at_screen_edges(case):
+    _assert_compare_matches_oracle(*case)
 
 
 # --- constructions -----------------------------------------------------------

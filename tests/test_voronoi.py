@@ -64,6 +64,24 @@ def test_lambda_bitwise_equals_masked_kernel():
         assert lambda_kernel(float(x)) == y
 
 
+def test_lambda_transposed_equals_contiguous_copy():
+    # a transposed x is not C-contiguous, so its temporaries and redo mask
+    # are Fortran-ordered; the gathered indices must still pair each
+    # recomputed value with its own entry
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([[0.0, -0.0, 5e-324, 1e-3, -1e-3, 1e110],
+                         rng.uniform(-1e-2, 1e-2, 97),
+                         10.0 ** rng.uniform(-2, 8, 97)])
+    x = rng.permutation(xs).reshape(25, 8).T
+    assert not x.flags.c_contiguous
+    got = lambda_kernel(x)
+    want = lambda_kernel(np.ascontiguousarray(x))
+    assert got.shape == want.shape == (8, 25)
+    assert got.tobytes() == want.tobytes()
+    with np.errstate(all="ignore"):  # the masked cube overflows at 1e110
+        assert got.tobytes() == _lambda_masked(x).tobytes()
+
+
 def _ulps_from(v, k):
     """The double k ulps above v > 0 (below for k < 0)."""
     return float((np.array([v]).view(np.int64) + k).view(np.float64)[0])
