@@ -125,8 +125,9 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
     past = math.nextafter(Xmax + _MERGE_TOL, math.inf)
 
     def below(v):
-        """How many breakpoints lie below min(v, past)."""
-        v = min(v, past)
+        """How many breakpoints lie below v.  Uncapped: every v that decides
+        a piece (a grid X, past, a window's start a) lies at or below past,
+        and values caps each window's n / theta at past itself."""
         return (int(v > 1) + max(0, min(i_hi, math.ceil(v) - 1) - 1)
                 + _first_n_at_or_above(v, th, n_lo, n_hi) - n_lo
                 + bisect.bisect_left(xs_sorted, v))

@@ -152,22 +152,25 @@ def cf_expand_surd(d: int, K: int) -> ContinuedFraction:
 class Enclosure:
     """theta lies within 2**log2_err of `anchor` (side=0), in
     [anchor, anchor + 2**log2_err] (side=+1), or
-    [anchor - 2**log2_err, anchor] (side=-1)."""
+    [anchor - 2**log2_err, anchor] (side=-1).  `final`: the theta's data
+    holds no tighter enclosure, whatever `bits` is asked for."""
 
     anchor: Fraction
     log2_err: float
     side: int = 0
+    final: bool = False
 
 
 def _escalating_enclosures(theta: Theta, bits: int):
     """Yield theta's best enclosure at bits, 4 bits, 16 bits, ...
 
-    Requests are capped at _MAX_EXPAND_BITS, and the last one is the first
-    that reaches min(max_enclosure_bits(), _MAX_EXPAND_BITS)."""
-    cap = min(theta.max_enclosure_bits(), _MAX_EXPAND_BITS)
+    Requests are capped at _MAX_EXPAND_BITS.  The last one yielded is the
+    first final enclosure (a wider request would return it again), or the
+    one at _MAX_EXPAND_BITS."""
     while True:
-        yield theta.best_enclosure(bits)
-        if bits >= cap:
+        enc = theta.best_enclosure(bits)
+        yield enc
+        if enc.final or bits >= _MAX_EXPAND_BITS:
             return
         bits = min(bits * 4, _MAX_EXPAND_BITS)
 
@@ -228,21 +231,15 @@ class Theta:
     spec: str = ""
 
     def enclosure(self, bits: int) -> Enclosure:
-        """The tightest enclosure the spec's data supports, and one at least
-        `bits` bits tight when the data allows.  It never raises for lack of
-        data: the callers that need a given accuracy raise
-        PrecisionExhausted."""
+        """An enclosure at least `bits` bits tight when the spec's data
+        allows, else the tightest the data holds, marked final.  It never
+        raises for lack of data: the callers that need a given accuracy
+        raise PrecisionExhausted."""
         raise NotImplementedError
 
-    def max_enclosure_bits(self) -> float:
-        """Largest usable `bits` for enclosure(); inf when refinable at will."""
-        return _INF
-
     def best_enclosure(self, bits: int) -> Enclosure:
-        """enclosure() clamped to what the defining data can support."""
-        cap = self.max_enclosure_bits()
-        if cap != _INF:
-            bits = min(bits, int(cap))
+        """enclosure() at a request of at least one bit: the one entry point
+        of every escalation, which bench/spans.py times by name."""
         return self.enclosure(max(bits, 1))
 
     def value(self, bits: int = 256) -> mpmath.mpf:
@@ -278,7 +275,7 @@ class RationalTheta(Theta):
         self.spec = f"rat:{self.a}/{self.b}"
 
     def enclosure(self, bits: int) -> Enclosure:
-        return Enclosure(Fraction(self.a, self.b), -_INF, 0)
+        return Enclosure(Fraction(self.a, self.b), -_INF, 0, final=True)
 
 
 class SurdTheta(Theta):
@@ -334,10 +331,8 @@ class CFLiteralTheta(Theta):
         """The last convergent c_K; theta lies above it for even K, below
         for odd K."""
         side = 1 if (len(self._convs) - 1) % 2 == 0 else -1
-        return Enclosure(self._convs[-1].as_fraction(), self._tail_log2(), side)
-
-    def max_enclosure_bits(self) -> float:
-        return -self._tail_log2()
+        return Enclosure(self._convs[-1].as_fraction(), self._tail_log2(), side,
+                         final=True)
 
     def continued_fraction(self, K: int) -> ContinuedFraction:
         if K + 1 > len(self.cf):
@@ -420,11 +415,8 @@ class TauBetaTheta(Theta):
         d, dmax = 1, self.max_depth()
         while d < dmax and self.tail_log2(d) > -bits:
             d += 1
-        return Enclosure(self.partial_sum(d), self.tail_log2(d), 1)
-
-    def max_enclosure_bits(self) -> float:
-        t = self.tail_log2(self.max_depth())
-        return _INF if t == -_INF else -t
+        return Enclosure(self.partial_sum(d), self.tail_log2(d), 1,
+                         final=d == dmax)
 
     def value(self, bits: int = 256) -> mpmath.mpf:
         d = min(self.depth, self.max_depth())
@@ -475,10 +467,7 @@ class DecimalTheta(Theta):
         self.spec = f"dec:{digits}"
 
     def enclosure(self, bits: int) -> Enclosure:
-        return Enclosure(self.exact, self._err, 0)
-
-    def max_enclosure_bits(self) -> float:
-        return -self._err
+        return Enclosure(self.exact, self._err, 0, final=True)
 
 
 def theta_parse(text: str) -> Theta:

@@ -47,6 +47,11 @@ GOLDEN = [
      "62f150882aa7b4ca444360b0f0dc113f346d9d55dccbb783169f18cd27914740"),
     ("cf --theta surd:2435 --terms 5",
      "8e1bb3d2a9c6ce50ff40c49032916568947dc86429fe2f737d5c4b1265278b94"),
+    # the alternation and sandwich invariants print False here: the depth-5
+    # enclosure claims a -inf radius, under which the table certifies the
+    # anchor's last quotient (ROADMAP item 9); a fix moves this digest
+    ("cf --theta taubeta:2/1:5 --terms 20",
+     "aba2675799aa7dcae008c3397cf81b1200d695bb0843a82851fff73e680e8c45"),
 ]
 
 

@@ -234,20 +234,19 @@ def test_tau_beta_residual_matches_construction():
 
 class _Unresolvable(dio.Theta):
     """A theta whose enclosure never settles anything; records each
-    request that reaches enclosure()."""
+    request that reaches enclosure().  Its data runs out at `final_from`
+    bits: from there on each enclosure is final."""
 
     spec = "unresolvable"
 
-    def __init__(self, cap=math.inf):
-        self.cap = cap
+    def __init__(self, final_from=math.inf):
+        self.final_from = final_from
         self.requests = []
 
     def enclosure(self, bits):
         self.requests.append(bits)
-        return dio.Enclosure(Fraction(99, 70), 0.0)
-
-    def max_enclosure_bits(self):
-        return self.cap
+        return dio.Enclosure(Fraction(99, 70), 0.0,
+                             final=bits >= self.final_from)
 
 
 @pytest.mark.parametrize("call,start", [
@@ -257,18 +256,23 @@ class _Unresolvable(dio.Theta):
     (lambda th: dio._signs(th, 1, (Fraction(1),), 96), 96),
 ], ids=["continued_fraction", "nearest_distance", "legendre", "signs"])
 def test_enclosure_escalation_schedule(call, start):
-    # x4 per attempt; the last attempt is capped at 2^24 bits, or at the
-    # theta's own max_enclosure_bits when that is smaller
+    # x4 per attempt; the last attempt is capped at 2^24 bits, or is the
+    # first whose enclosure is final when that comes sooner
     top = 1 << 24
     full = [start * 4**k for k in range(12) if start * 4**k < top] + [top]
     th = _Unresolvable()
     with pytest.raises(PrecisionExhausted):
         call(th)
     assert th.requests == full
-    th = _Unresolvable(cap=1000)
+    th = _Unresolvable(final_from=1000)
     with pytest.raises(PrecisionExhausted):
         call(th)
-    assert th.requests == [b for b in full if b < 1000] + [1000]
+    assert th.requests == ([b for b in full if b < 1000]
+                           + [next(b for b in full if b >= 1000)])
+
+
+#: the depth-5 partial sum of tau_2, 2^-1 + 2^-2 + 2^-4 + 2^-16 + 2^-65536
+_TAU2_DEPTH5 = sum(Fraction(1, 2 ** t) for t in (1, 2, 4, 16, 65536))
 
 
 @pytest.mark.parametrize("spec,anchor,log2_err,side", [
@@ -280,19 +284,76 @@ def test_enclosure_escalation_schedule(call, start):
     ("jarnik:exp:3:4",
      Fraction(27043799000610679993079130413290271109315,
               35917545547686059365808220080151141317059), -math.inf, 1),
-    ("taubeta:2/1:4", Fraction(53249, 65536), -65535.0, 1),
+    ("taubeta:2/1:4", _TAU2_DEPTH5, -math.inf, 1),
     ("taubeta:3/2:3", Fraction(7343302166234, 7625597484987),
      -4460688574309.954, 1),
 ], ids=["dec:2", "dec:1.5", "cf:[1;1]", "cf40", "jarnik:exp:3:4",
         "taubeta:2/1:4", "taubeta:3/2:3"])
 def test_best_enclosure_returns_what_the_data_supports(spec, anchor, log2_err,
                                                         side):
-    # a request beyond the data (4x the cap, or 4096 bits when the cap is
-    # infinite) gets the tightest enclosure the data holds, without raising
+    # a request beyond the data (2^24 bits, the escalation's ceiling) gets
+    # the tightest enclosure the data holds, marked final, without raising;
+    # for taubeta:2/1:4 that is the depth-5 sum (2^-65536 its last term),
+    # which no request below 65536 bits reaches
     theta = dio.theta_parse(spec)
-    cap = theta.max_enclosure_bits()
-    bits = 4096 if cap == math.inf else int(4 * cap)
-    assert theta.best_enclosure(bits) == dio.Enclosure(anchor, log2_err, side)
+    assert theta.best_enclosure(1 << 24) == dio.Enclosure(anchor, log2_err,
+                                                          side, final=True)
+
+
+@pytest.mark.parametrize("spec,root", [
+    ("surd:2", lambda: mpmath.sqrt(2)),
+    ("golden", lambda: (1 + mpmath.sqrt(5)) / 2),
+], ids=["surd:2", "golden"])
+def test_refinable_enclosures_are_never_final(spec, root):
+    # a surd's data refines at will: each enclosure is at least `bits`
+    # tight, holds the value, and is not final
+    theta = dio.theta_parse(spec)
+    for bits in (64, 4096):
+        enc = theta.best_enclosure(bits)
+        assert not enc.final and enc.log2_err <= -bits
+        with mpmath.workprec(2 * bits):
+            gap = abs(mpmath.mpf(enc.anchor.numerator) / enc.anchor.denominator
+                      - root())
+            assert gap <= mpmath.mpf(2) ** enc.log2_err
+
+
+def _recorded_requests(spec):
+    """theta_parse(spec) with each best_enclosure request recorded."""
+    theta, requests = dio.theta_parse(spec), []
+    best = theta.best_enclosure
+
+    def record(bits):
+        requests.append(bits)
+        return best(bits)
+
+    theta.best_enclosure = record
+    return theta, requests
+
+
+@pytest.mark.parametrize("spec,last_certified,requests", [
+    ("taubeta:2/1:5", 15, [64, 256, 1024, 4096, 16384, 65536]),
+    ("taubeta:3/2:3", 20, [64]),
+], ids=["taubeta:2/1:5", "taubeta:3/2:3"])
+def test_escalation_stops_at_the_final_enclosure(spec, last_certified,
+                                                 requests):
+    # the depth-5 sum of taubeta:2/1:5 first comes at 65536 bits and the
+    # depth-3 sum of taubeta:3/2:3 at 64; no request past the final
+    # enclosure asks for the same data again
+    theta, seen = _recorded_requests(spec)
+    with pytest.raises(PrecisionExhausted) as e:
+        dio.cf_expand(theta, 40)
+    assert e.value.last_certified == last_certified
+    assert seen == requests
+
+
+def test_refinable_escalation_widens_until_resolved():
+    # surd:2 at a 382-bit convergent denominator: resolving its distance
+    # (about 2^-383) takes a second, 4x wider request
+    m = dio.convergents(dio.cf_expand_surd(2, 300))[-1].m
+    assert m.bit_length() == 382
+    theta, seen = _recorded_requests("surd:2")
+    dio.nearest_distance(theta, m)
+    assert seen == [478, 1912]
 
 
 def test_legendre_predicate_examples():
@@ -525,7 +586,7 @@ def test_legendre_hits_deep_tau_beta():
 
 def test_legendre_hits_without_certified_quotients():
     with pytest.raises(PrecisionExhausted) as ei:
-        dio.legendre_hits(_Unresolvable(cap=1000), 10)
+        dio.legendre_hits(_Unresolvable(final_from=1000), 10)
     assert ei.value.last_certified == 0 and ei.value.partial == []
 
 
