@@ -234,8 +234,10 @@ class Theta:
         """An enclosure at least `bits` bits tight when the spec's data
         allows, else the tightest the data holds, marked final.  It never
         raises for lack of data: the callers that need a given accuracy
-        raise PrecisionExhausted."""
-        raise NotImplementedError
+        raise PrecisionExhausted.  A theta given by finite data builds its
+        one final enclosure, `_enc`, with itself and returns it for every
+        `bits`; surds, golden and tau-beta override this."""
+        return self._enc
 
     def best_enclosure(self, bits: int) -> Enclosure:
         """enclosure() at a request of at least one bit: the one entry point
@@ -273,9 +275,7 @@ class RationalTheta(Theta):
         g = math.gcd(a, b)
         self.a, self.b = a // g, b // g
         self.spec = f"rat:{self.a}/{self.b}"
-
-    def enclosure(self, bits: int) -> Enclosure:
-        return Enclosure(Fraction(self.a, self.b), -_INF, 0, final=True)
+        self._enc = Enclosure(Fraction(self.a, self.b), -_INF, 0, final=True)
 
 
 class SurdTheta(Theta):
@@ -311,7 +311,9 @@ class GoldenTheta(Theta):
 
 
 class CFLiteralTheta(Theta):
-    """Number given directly by finitely many partial quotients."""
+    """Number given directly by finitely many partial quotients.  Its
+    enclosure is the last convergent c_K; theta lies above it for even K,
+    below for odd K."""
 
     def __init__(self, cf: ContinuedFraction, spec: str | None = None):
         if len(cf) < 2:
@@ -320,19 +322,15 @@ class CFLiteralTheta(Theta):
         self._convs = convergents(cf)
         self.spec = spec or ("cf:[" + str(cf.quotients[0]) + ";" +
                              ",".join(map(str, cf.quotients[1:])) + "]")
+        side = 1 if (len(self._convs) - 1) % 2 == 0 else -1
+        self._enc = Enclosure(self._convs[-1].as_fraction(), self._tail_log2(),
+                              side, final=True)
 
     def _tail_log2(self) -> float:
         # |theta - c_K| < 1/(m_K m_{K+1}) and m_{K+1} >= m_K + m_{K-1}
         mk = self._convs[-1].m
         mk1_lb = mk + (self._convs[-2].m if len(self._convs) >= 2 else 1)
         return -(math.log2(mk) + math.log2(mk1_lb))
-
-    def enclosure(self, bits: int) -> Enclosure:
-        """The last convergent c_K; theta lies above it for even K, below
-        for odd K."""
-        side = 1 if (len(self._convs) - 1) % 2 == 0 else -1
-        return Enclosure(self._convs[-1].as_fraction(), self._tail_log2(), side,
-                         final=True)
 
     def continued_fraction(self, K: int) -> ContinuedFraction:
         if K + 1 > len(self.cf):
@@ -346,9 +344,12 @@ class TauBetaTheta(Theta):
     """Liouville-type series sum_i (b/a)^{t_i} with tower exponents
     t_1 = 1, t_{i+1} = a^{t_i}, for beta = a/b > 1 in lowest terms.
 
-    `depth` is the construction depth used for the floating value; distance
-    computations extend the series on demand (exact partial sums plus a log2
-    tail bound are cheap until the towers outgrow the bit budget).
+    `depth` is the construction depth used for the floating value.  The
+    certified data is one table, built with the theta: the towers t_1 ..
+    t_{D+1}, ended by the first tower with more than 40 bits or whose power
+    a^t would outgrow PARTIAL_SUM_BITS, and the log2 tail bound after each
+    depth 0..D, where D = max_depth().  The exact partial sums to D grow in
+    one list on demand; enclosures walk the tails.
     """
 
     def __init__(self, a: int, b: int, depth: int):
@@ -358,64 +359,58 @@ class TauBetaTheta(Theta):
             raise ValueError("depth must be >= 1")
         self.a, self.b, self.depth = a, b, depth
         self.spec = f"taubeta:{a}/{b}:{depth}"
-        self._towers = [1]
-        self._partials = {}
-        self._max_depth = None
+        # the bit-length test first keeps a huge t out of the float product
+        l2a = math.log2(a)
+        towers = [1]
+        while not (towers[-1].bit_length() > 40
+                   or towers[-1] * l2a > PARTIAL_SUM_BITS):
+            towers.append(a ** towers[-1])
+        self._towers = towers
+        # the tail after depth d is < 2x the next term, beta^-t_{d+1}; past
+        # float range it reads -inf
+        l2beta = l2a - math.log2(b)
+        lts = [t * l2beta - 1 if t.bit_length() <= 50 else _INF
+               for t in towers]
+        self._tails = [-lt if lt < 1e15 else -_INF for lt in lts]
+        self._sums = [Fraction(0)]
 
     def tower(self, i: int) -> int:
-        """t_i (1-indexed); raises PrecisionExhausted when unrepresentable."""
-        while len(self._towers) < i:
-            t = self._towers[-1]
-            if t.bit_length() > 40 or t * math.log2(self.a) > (1 << 26):
-                raise PrecisionExhausted(
-                    f"tower exponent a^t_{len(self._towers)} exceeds bit budget",
-                    last_certified=len(self._towers))
-            self._towers.append(self.a ** t)
+        """t_i (1-indexed) for i <= max_depth() + 1; raises
+        PrecisionExhausted past the table."""
+        if i > len(self._towers):
+            raise PrecisionExhausted(
+                f"tower exponent a^t_{len(self._towers)} exceeds bit budget",
+                last_certified=len(self._towers))
         return self._towers[i - 1]
 
     def max_depth(self) -> int:
         """Largest depth whose exact partial sum fits the bit budget."""
-        if self._max_depth is None:
-            d = 1
-            while True:
-                try:
-                    t_next = self.tower(d + 1)
-                except PrecisionExhausted:
-                    break
-                if (t_next.bit_length() > 40
-                        or t_next * math.log2(self.a) > PARTIAL_SUM_BITS):
-                    break
-                d += 1
-            self._max_depth = d
-        return self._max_depth
+        return len(self._towers) - 1
 
     def partial_sum(self, depth: int) -> Fraction:
-        if depth not in self._partials:
-            s = Fraction(0)
-            for i in range(1, depth + 1):
-                t = self.tower(i)
-                s += Fraction(self.b ** t, self.a ** t)
-            self._partials[depth] = s
-        return self._partials[depth]
+        """Exact sum of the first `depth` terms, 0 <= depth <= max_depth();
+        past that it raises before building anything."""
+        dmax = self.max_depth()
+        if depth > dmax:
+            raise PrecisionExhausted(
+                f"depth {depth} exceeds the bit budget; max safe depth is "
+                f"{dmax}", last_certified=dmax)
+        for t in self._towers[len(self._sums) - 1:depth]:
+            term = Fraction(self.b ** t, self.a ** t)
+            self._sums.append(self._sums[-1] + term)
+        return self._sums[depth]
 
     def tail_log2(self, depth: int) -> float:
-        """log2 bound for the tail after `depth` terms (it is < 2x the next
-        term)."""
-        try:
-            t = self.tower(depth + 1)
-        except PrecisionExhausted:
-            return -_INF  # tail far below any representable magnitude
-        if t.bit_length() > 50:
-            return -_INF
-        l2beta = math.log2(self.a) - math.log2(self.b)
-        lt = t * l2beta - 1
-        return -lt if lt < 1e15 else -_INF
+        """log2 bound for the tail after `depth` terms.  Past max_depth()
+        the next tower has more than 50 bits, so the bound reads -inf, as
+        the table's own entries do for such towers."""
+        return self._tails[depth] if depth < len(self._tails) else -_INF
 
     def enclosure(self, bits: int) -> Enclosure:
         d, dmax = 1, self.max_depth()
-        while d < dmax and self.tail_log2(d) > -bits:
+        while d < dmax and self._tails[d] > -bits:
             d += 1
-        return Enclosure(self.partial_sum(d), self.tail_log2(d), 1,
+        return Enclosure(self.partial_sum(d), self._tails[d], 1,
                          final=d == dmax)
 
     def value(self, bits: int = 256) -> mpmath.mpf:
@@ -463,11 +458,9 @@ class DecimalTheta(Theta):
         if self.exact <= 0:
             raise ValueError("theta must be positive")
         frac, exp = lit.group(1) or "", int(lit.group(2) or 0)
-        self._err = math.log2(10.0) * (exp - len(frac))
+        self._enc = Enclosure(self.exact, math.log2(10.0) * (exp - len(frac)),
+                              0, final=True)
         self.spec = f"dec:{digits}"
-
-    def enclosure(self, bits: int) -> Enclosure:
-        return Enclosure(self.exact, self._err, 0, final=True)
 
 
 def theta_parse(text: str) -> Theta:
@@ -891,14 +884,10 @@ def construct_tau_beta(a: int, b: int, depth: int) -> TauBetaTheta:
     are exact data.
 
     Raises PrecisionExhausted reporting the max safe depth when the partial
-    sum at `depth` outgrows the bit budget.
+    sum at `depth` outgrows the bit budget (partial_sum's own check).
     """
     theta = TauBetaTheta(a, b, depth)
-    dmax = theta.max_depth()
-    if depth > dmax:
-        raise PrecisionExhausted(
-            f"depth {depth} exceeds the bit budget; max safe depth is {dmax}",
-            last_certified=dmax)
+    theta.partial_sum(depth)
     return theta
 
 

@@ -300,6 +300,15 @@ def test_best_enclosure_returns_what_the_data_supports(spec, anchor, log2_err,
                                                           side, final=True)
 
 
+@pytest.mark.parametrize("spec", ["rat:3/2", _CF40, "jarnik:pow:2:5",
+                                  "dec:1.4142"])
+def test_finite_data_enclosure_is_built_once(spec):
+    # a theta given by finite data holds one final enclosure, built with it
+    theta = dio.theta_parse(spec)
+    enc = theta.enclosure(64)
+    assert enc.final and theta.enclosure(1 << 24) is enc
+
+
 @pytest.mark.parametrize("spec,root", [
     ("surd:2", lambda: mpmath.sqrt(2)),
     ("golden", lambda: (1 + mpmath.sqrt(5)) / 2),
@@ -434,18 +443,25 @@ def oracle_hits_golden(M: int) -> list[int]:
 
 def oracle_hits_enclosure(theta, M: int) -> list[int]:
     """Every m <= M against one enclosure; raises PrecisionExhausted at the
-    first m it cannot decide, with the hits below it."""
+    first m it cannot decide, with the hits below it.
+
+    With the anchor P/Q and r = m P mod Q, ||m P/Q|| - 1/(2m) is
+    diff / (2 m Q) with diff = 2 m min(r, Q - r) - Q, so m is a hit when
+    diff < 0, and undecided when the radius m 2^log2_err exceeds half of
+    that gap."""
     bits = max(64, 2 * M.bit_length() + 96)
     enc = theta.best_enclosure(bits)
+    P, Q = enc.anchor.numerator, enc.anchor.denominator
     hits = []
     for m in range(1, M + 1):
-        d, err = dio._dist_from_enclosure(enc, m)
-        bound = Fraction(1, 2 * m)
-        gap = abs(d - bound)
-        if err != -math.inf and (gap == 0 or err > log2_fraction(gap) - 1):
+        r = m * P % Q
+        diff = 2 * m * min(r, Q - r) - Q
+        if enc.log2_err != -math.inf and (
+                diff == 0 or enc.log2_err + math.log2(m)
+                > log2_fraction(Fraction(abs(diff), 2 * m * Q)) - 1):
             raise PrecisionExhausted(f"Legendre scan unresolved at m={m}",
                                      last_certified=m - 1, partial=hits)
-        if d < bound:
+        if diff < 0:
             hits.append(m)
     return hits
 
@@ -625,11 +641,11 @@ def test_decimal_exponent_sets_the_trust_radius():
     thetas = [dio.theta_parse(f"dec:{s}")
               for s in ("1414.2", "1.4142e3", "1.4142E3", "14142e-1")]
     assert {t.exact for t in thetas} == {Fraction(14142, 10)}
-    assert {t._err for t in thetas} == {-math.log2(10)}
+    assert {t.enclosure(1).log2_err for t in thetas} == {-math.log2(10)}
     # 1414.2 +- 0.1 lies above 1414, but not by the 4x margin cf_expand needs
     assert {_cf1_outcome(t) for t in thetas} == {(-1, None)}
-    assert dio.theta_parse("dec:1.5")._err == -math.log2(10)
-    assert dio.theta_parse("dec:25e+1")._err == math.log2(10)
+    assert dio.theta_parse("dec:1.5").enclosure(1).log2_err == -math.log2(10)
+    assert dio.theta_parse("dec:25e+1").enclosure(1).log2_err == math.log2(10)
 
 
 # --- scans -------------------------------------------------------------------
@@ -1024,6 +1040,59 @@ def test_construct_tau_beta_depth_budget():
     with pytest.raises(PrecisionExhausted) as ei:
         dio.construct_tau_beta(2, 1, 8)
     assert ei.value.last_certified == 5  # max safe depth for beta = 2
+
+
+#: (a/b, max_depth, tower bit lengths t_1..t_{D+1}, tail_log2 at depths
+#: 1..D, (depth of the anchor, log2_err, final) of enclosure(bits) for bits
+#: in _TABLE_BITS)
+_TABLE_BITS = (1, 64, 1 << 16, 1 << 24)
+_TAU_TABLES = [
+    ((2, 1), 5, [1, 2, 3, 5, 17, 65537],
+     [-1.0, -3.0, -15.0, -65535.0, -math.inf],
+     [(1, -1.0, False), (4, -65535.0, False), (5, -math.inf, True),
+      (5, -math.inf, True)]),
+    ((3, 2), 3, [1, 2, 5, 43],
+     [-0.7548875021634682, -14.793987519471214, -4460688574309.954],
+     [(2, -14.793987519471214, False)] + [(3, -4460688574309.954, True)] * 3),
+    ((6, 5), 3, [1, 3, 16, 120605],
+     [-0.5782064350027634, -12271.133238581488, -math.inf],
+     [(2, -12271.133238581488, False)] * 2 + [(3, -math.inf, True)] * 2),
+    ((7, 2), 2, [1, 3, 20],
+     [-11.65148445440323, -1488433.4945760856],
+     [(1, -11.65148445440323, False)] + [(2, -1488433.4945760856, True)] * 3),
+]
+
+
+@pytest.mark.parametrize("ab,dmax,tower_bits,tails,encs", _TAU_TABLES,
+                         ids=[f"{a}/{b}" for (a, b), *_ in _TAU_TABLES])
+def test_tau_beta_table(ab, dmax, tower_bits, tails, encs):
+    a, b = ab
+    theta = dio.TauBetaTheta(a, b, 1)
+    assert theta.max_depth() == dmax
+    towers = [theta.tower(i) for i in range(1, dmax + 2)]
+    assert [t.bit_length() for t in towers] == tower_bits
+    assert towers[0] == 1
+    assert all(t == a ** s for s, t in zip(towers, towers[1:]))
+    assert [theta.tail_log2(d) for d in range(1, dmax + 1)] == tails
+    for bits, (depth, log2_err, final) in zip(_TABLE_BITS, encs):
+        anchor = sum(Fraction(b ** t, a ** t) for t in towers[:depth])
+        assert theta.enclosure(bits) == dio.Enclosure(anchor, log2_err, 1,
+                                                      final)
+
+
+@pytest.mark.parametrize("ab,dmax", [row[:2] for row in _TAU_TABLES],
+                         ids=[f"{a}/{b}" for (a, b), *_ in _TAU_TABLES])
+def test_tau_beta_past_the_table_raises(ab, dmax):
+    # t_{D+2} and the depth-(D+1) sum are never built: for 2/1 the latter's
+    # last term alone is 2^-(2^65536); the tail bound there reads -inf
+    theta = dio.TauBetaTheta(*ab, 1)
+    assert theta.tail_log2(dmax + 1) == -math.inf
+    with pytest.raises(PrecisionExhausted) as ei:
+        theta.tower(dmax + 2)
+    assert ei.value.last_certified == dmax + 1
+    with pytest.raises(PrecisionExhausted) as ei:
+        theta.partial_sum(dmax + 1)
+    assert ei.value.last_certified == dmax
 
 
 def test_construct_tau_beta_validation():
