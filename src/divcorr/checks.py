@@ -100,12 +100,11 @@ def lambda_suite(seed: int) -> list[Check]:
 
 def spectral_suite(seed: int) -> list[Check]:
     """spectral_j for sqrt 2 at X = 16 against a naive double loop."""
-    th = math.sqrt(2)
-    X = 16.0
+    theta, X = theta_parse("surd:2"), 16.0
     table = sieve_tau(16)
-    rep = spectral_j(theta_parse("surd:2"), SpectralParams.default(X), table)
+    rep = spectral_j(theta, SpectralParams.default(X), table)
+    th, N = float(theta), rep.params.N
     brute = 0.0
-    N = 8
     for m in range(1, N + 1):
         for n in range(1, N + 1):
             u = 4 * math.pi * (math.sqrt(m * th) - math.sqrt(n)) * math.sqrt(X)

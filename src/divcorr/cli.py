@@ -18,12 +18,12 @@ from .checks import SUITES
 from .correlation import (CSV_HEADER, compare_spectral, correlate_grid,
                           fit_exponent, result_csv_row, results_json)
 from .diophantine import (ContinuedFraction, JarnikTheta, TauBetaTheta, Theta,
-                          construct_tau_beta, convergent_invariants,
-                          convergents, nearest_distance, theta_parse)
+                          convergent_invariants, convergents,
+                          nearest_distance, theta_parse)
 from .divisor import delta, sieve_tau
 from .errors import (ConstructionInfeasible, PrecisionExhausted, PsiParseError,
                      ResourceLimit, ThetaParseError)
-from .realfield import _fmt, _fmt_int, log2_ratio, psi_parse
+from .realfield import _fmt, _fmt_int, fraction_to_mpf, log2_ratio, psi_parse
 from .voronoi import q_n
 
 EXIT_OK = 0
@@ -105,13 +105,14 @@ def cmd_cf(cfg: RunConfig, args) -> int:
     if args.construct:
         theta = theta_parse(args.construct)
         if isinstance(theta, TauBetaTheta):
-            t = construct_tau_beta(theta.a, theta.b, theta.depth)
+            d = theta.depth  # the table's depth-term sum, not float(theta)
+            value = fraction_to_mpf(theta.partial_sum(d), cfg.precision_bits)
             _emit("beta,depth,value,tail_log2")
-            _emit(f"{t.a}/{t.b},{t.depth},{_fmt(t.value(cfg.precision_bits))},"
-                  f"{_fmt(t.tail_log2(t.depth))}")
+            _emit(f"{theta.a}/{theta.b},{d},{_fmt(value)},"
+                  f"{_fmt(theta.tail_log2(d))}")
             _emit("term,exponent")
-            for i in range(1, t.depth + 1):
-                _emit(f"{i},{t.tower(i)}")
+            for i in range(1, d + 1):
+                _emit(f"{i},{theta.tower(i)}")
             return EXIT_OK
         if isinstance(theta, JarnikTheta):
             if theta.truncated is not None:

@@ -245,7 +245,7 @@ class Theta:
         return self.enclosure(max(bits, 1))
 
     def value(self, bits: int = 256) -> mpmath.mpf:
-        """Floating value at up to `bits` precision (best effort)."""
+        """The one theta -> number path: best_enclosure(bits)'s anchor."""
         return fraction_to_mpf(self.best_enclosure(bits).anchor, max(bits, 53))
 
     def __float__(self) -> float:
@@ -344,12 +344,13 @@ class TauBetaTheta(Theta):
     """Liouville-type series sum_i (b/a)^{t_i} with tower exponents
     t_1 = 1, t_{i+1} = a^{t_i}, for beta = a/b > 1 in lowest terms.
 
-    `depth` is the construction depth used for the floating value.  The
-    certified data is one table, built with the theta: the towers t_1 ..
-    t_{D+1}, ended by the first tower with more than 40 bits or whose power
-    a^t would outgrow PARTIAL_SUM_BITS, and the log2 tail bound after each
-    depth 0..D, where D = max_depth().  The exact partial sums to D grow in
-    one list on demand; enclosures walk the tails.
+    `depth` only sizes the `cf --construct` table; float(theta) and every
+    other path read the series.  The certified data is one table, built
+    with the theta: the towers t_1 .. t_{D+1}, ended by the first tower with
+    more than 40 bits or whose power a^t would outgrow PARTIAL_SUM_BITS, and
+    the log2 tail bound after each depth 0..D, where D = max_depth().  The
+    exact partial sums to D grow in one list on demand; enclosures walk the
+    tails.
     """
 
     def __init__(self, a: int, b: int, depth: int):
@@ -396,8 +397,8 @@ class TauBetaTheta(Theta):
                 f"depth {depth} exceeds the bit budget; max safe depth is "
                 f"{dmax}", last_certified=dmax)
         for t in self._towers[len(self._sums) - 1:depth]:
-            term = Fraction(self.b ** t, self.a ** t)
-            self._sums.append(self._sums[-1] + term)
+            # a Fraction power keeps the coprime pair: no gcd on the powers
+            self._sums.append(self._sums[-1] + Fraction(self.b, self.a) ** t)
         return self._sums[depth]
 
     def tail_log2(self, depth: int) -> float:
@@ -412,10 +413,6 @@ class TauBetaTheta(Theta):
             d += 1
         return Enclosure(self.partial_sum(d), self._tails[d], 1,
                          final=d == dmax)
-
-    def value(self, bits: int = 256) -> mpmath.mpf:
-        d = min(self.depth, self.max_depth())
-        return fraction_to_mpf(self.partial_sum(d), max(bits, 53))
 
 
 class JarnikTheta(CFLiteralTheta):
@@ -879,9 +876,9 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
 
 def construct_tau_beta(a: int, b: int, depth: int) -> TauBetaTheta:
     """The series 1/beta^{t_1} + 1/beta^{t_2} + ... with beta = a/b > 1 in
-    lowest terms and tower exponents t_1 = 1, t_{i+1} = a^{t_i}, truncated
-    at `depth` terms: its tower(i), partial_sum(depth) and tail_log2(depth)
-    are exact data.
+    lowest terms and tower exponents t_1 = 1, t_{i+1} = a^{t_i}, built to
+    `depth` terms: tower(i), partial_sum(depth) and tail_log2(depth) are
+    exact data.  The theta's value stays that of the whole series.
 
     Raises PrecisionExhausted reporting the max safe depth when the partial
     sum at `depth` outgrows the bit budget (partial_sum's own check).

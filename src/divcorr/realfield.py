@@ -74,9 +74,12 @@ def to_fraction(x) -> Fraction:
 
 def fraction_to_mpf(f: Fraction, bits: int) -> mpmath.mpf:
     """f at `bits` bits: the numerator rounded to an mpf, then divided by the
-    denominator, both under workprec(bits)."""
+    denominator, both under workprec(bits).  Its power of two goes by an exact
+    ldexp (same bits; mpmath strips a divisor's zeros 8 bits at a time)."""
+    den = f.denominator
+    tz = (den & -den).bit_length() - 1
     with mpmath.workprec(bits):
-        return mpmath.mpf(f.numerator) / f.denominator
+        return mpmath.ldexp(mpmath.mpf(f.numerator) / (den >> tz), -tz)
 
 
 def log2_fraction(f: Fraction) -> float:

@@ -155,19 +155,30 @@ def test_correlate_csv_and_fit(capsys):
     assert any(l.startswith("fit_slope,") for l in lines)
 
 
+def correlate_rows(capsys, spec, xmax, points):
+    """The split data rows of `correlate --theta spec` from 1e3 to xmax."""
+    code, out, _ = run(capsys, "--threads", "1", "correlate", "--theta", spec,
+                       "--xmin", "1e3", "--xmax", xmax, "--points", points)
+    assert code == 0
+    return [line.split(",") for line in out.splitlines()[2:]]
+
+
 def test_correlate_coarse_decimal_literal(capsys):
     # dec:2 is trusted only to +-1, yet its double is its written value, so
     # its rows are those of dec:2.0 but for the theta_spec column
-    rows = {}
-    for spec in ("dec:2", "dec:2.0"):
-        code, out, _ = run(capsys, "--threads", "1", "correlate", "--theta",
-                           spec, "--xmin", "1e3", "--xmax", "1e4",
-                           "--points", "3")
-        assert code == 0
-        rows[spec] = [line.split(",") for line in out.splitlines()[2:]]
-    assert [r[0] for r in rows["dec:2"]] == ["dec:2"] * 3
-    assert ([r[1:] for r in rows["dec:2"]]
-            == [r[1:] for r in rows["dec:2.0"]])
+    coarse = correlate_rows(capsys, "dec:2", "1e4", "3")
+    assert [r[0] for r in coarse] == ["dec:2"] * 3
+    assert ([r[1:] for r in coarse]
+            == [r[1:] for r in correlate_rows(capsys, "dec:2.0", "1e4", "3")])
+
+
+def test_correlate_tau_beta_depth_names_one_theta(capsys):
+    # depth sizes only the cf --construct table: taubeta:2/1:1 integrates
+    # the series, as :4 does, not its one-term sum 0.5
+    shallow = correlate_rows(capsys, "taubeta:2/1:1", "1e5", "6")
+    deep = correlate_rows(capsys, "taubeta:2/1:4", "1e5", "6")
+    assert [r[0] for r in shallow] == ["taubeta:2/1:1"] * 6
+    assert [r[1:] for r in shallow] == [r[1:] for r in deep]
 
 
 def test_correlate_json(capsys):

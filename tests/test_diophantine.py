@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from divcorr import diophantine as dio
 from divcorr.checks import SUITES
+from divcorr.cli import main
 from divcorr.errors import (ConstructionInfeasible, PrecisionExhausted,
                             ThetaParseError)
-from divcorr.realfield import (PsiFunction, _fmt, log2_fraction, psi_parse,
-                               to_fraction)
+from divcorr.realfield import (PsiFunction, _fmt, fraction_to_mpf,
+                               log2_fraction, psi_parse, to_fraction)
 
 
 def surd_cf_oracle(d: int, K: int):
@@ -1027,8 +1028,23 @@ def test_construct_tau_beta_dyadic():
     assert [theta.tower(i) for i in range(1, 5)] == [1, 2, 4, 16]
 
 
-def test_construct_tau_beta_depth1():
-    assert float(dio.construct_tau_beta(2, 1, 1).value(64)) == 0.5
+def test_construct_tau_beta_depth1(capsys):
+    # depth sizes the construction: one term, printed as its own sum
+    assert dio.construct_tau_beta(2, 1, 1).partial_sum(1) == Fraction(1, 2)
+    assert main(["cf", "--construct", "taubeta:2/1:1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["beta,depth,value,tail_log2", "2/1,1,0.5,-1",
+                         "term,exponent", "1,1"]
+
+
+def test_tau_beta_double_reads_the_series_at_every_depth():
+    # float(theta) is the anchor of the 128-bit enclosure, whatever the
+    # spec's depth, so the float and the certified paths see one number
+    for d in range(1, 7):
+        theta = dio.theta_parse(f"taubeta:2/1:{d}")
+        assert float(theta) == 0.8125152587890625
+    theta = dio.theta_parse("taubeta:99991/99990:1")
+    assert float(theta) == float(fraction_to_mpf(theta.partial_sum(2), 128))
 
 
 def test_construct_tau_beta_exponent_towers():

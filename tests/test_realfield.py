@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divcorr.errors import PsiParseError
-from divcorr.realfield import (_fmt_int, gamma_const, log2_fraction,
-                               log2_ratio, psi_parse, to_fraction)
+from divcorr.realfield import (_fmt_int, fraction_to_mpf, gamma_const,
+                               log2_fraction, log2_ratio, psi_parse,
+                               to_fraction)
 
 # published digits (independent reference)
 GAMMA_50 = "0.57721566490153286060651209008240243104215933593992"
@@ -287,3 +288,18 @@ def test_psi_log2_exp_above_2_53_relative_error(text):
         with mpmath.workprec(256):
             worst = max(worst, float(abs(psi.log2(m) - ref) / abs(ref)))
     assert worst <= 2**-50
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-2**300, max_value=2**300),
+       st.integers(min_value=0, max_value=2**200),
+       st.integers(min_value=0, max_value=3000),
+       st.integers(min_value=53, max_value=256))
+def test_fraction_to_mpf_matches_plain_division(num, k, tz, bits):
+    """Splitting off the denominator's power of two keeps every bit of the
+    plain route: the numerator rounded, then divided by the whole
+    denominator, at `bits` bits."""
+    f = Fraction(num, (2 * k + 1) << tz)
+    with mpmath.workprec(bits):
+        want = mpmath.mpf(f.numerator) / f.denominator
+    assert fraction_to_mpf(f, bits)._mpf_ == want._mpf_
