@@ -97,8 +97,11 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
     points are added as integers, so no piece is read twice).  A correctly
     rounded sum is unique, so these are the floats math.fsum returns; then
     the chunk is dropped.  I(X) is the fsum of the earlier chunk sums plus
-    that partial sum.  Memory is O(threads * _CHUNK) besides the table,
-    and the output bits do not depend on `threads` (with more than one
+    that partial sum.  Memory is O(threads * _CHUNK) besides the table: a
+    chunk in flight holds its breakpoint window and about eight float64 or
+    int64 arrays of _CHUNK pieces, plus gauss8_pieces' block buffers (17.3
+    MB traced for the whole sweep to X = 4e6 at one thread, 38.6 MB at
+    two).  The output bits do not depend on `threads` (with more than one
     chunk, _ordered_map runs the chunks on `threads` workers).
     """
     th = float(theta)

@@ -529,9 +529,18 @@ def _dist_from_enclosure(enc: Enclosure, m: int):
     """(exact anchor distance, log2 error radius) of ||m * theta||.
 
     x -> dist(x, Z) is 1-Lipschitz, so the radius is m * 2**log2_err.
+    The distance is min(r, den - r) / den for r = m * num mod den, with the
+    anchor num / den in lowest terms; both r and den - r share exactly
+    g = gcd(m, den) with den, so dividing by g reduces the pair, and the
+    Fraction is built without the gcd of the full pair (huge for tau-beta
+    anchors) that Fraction arithmetic would run.
     """
-    f = (m * enc.anchor) % 1
-    d = min(f, 1 - f)
+    num, den = enc.anchor.numerator, enc.anchor.denominator
+    r = m * num % den
+    g = math.gcd(m, den)
+    # the pair is in lowest terms: set it directly, with no gcd
+    d = Fraction.__new__(Fraction)
+    d._numerator, d._denominator = min(r, den - r) // g, den // g
     err = enc.log2_err + math.log2(m) if enc.log2_err != -_INF else -_INF
     return d, err
 

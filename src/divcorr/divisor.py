@@ -11,11 +11,12 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ResourceLimit
-from .exactsum import exact_sum
+from .exactsum import exact_block_sum
 from .realfield import gamma_const
 
 #: 2*gamma - 1, the linear coefficient of the smooth main term.
@@ -29,9 +30,11 @@ _SUMMATORY_X_CAP = 2**63 - 1
 _SUMMATORY_MANY_CAP = 2**44 - 1
 #: Entries per int64 block of the hyperbola sum (8 MB).
 _HYPERBOLA_BLOCK = 1 << 20
-#: Pieces per block of the Gauss-8 kernel's node-major buffers (8 x 4096
-#: doubles, 256 KB each).
+#: Pieces per block of the Gauss-8 kernel (see _gauss_blocks): its
+#: node-major buffers hold 8 x 4096 doubles (256 KB) in a full block.
 _GAUSS_BLOCK = 4096
+#: Terms per block of tong_ratio_oracle's series (512 KB per float64 array).
+_TONG_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -158,8 +161,8 @@ def _delta_at(d: np.ndarray, x: np.ndarray, out: np.ndarray,
 
 
 #: Pieces per integration chunk of mean_square and the correlation sweep.
-#: Chunk sums are reduced in index order, and gauss8_pieces makes one gemv
-#: per call, so the chunk boundaries (global multiples of _CHUNK) fix the
+#: Each chunk is rounded to one sum and the chunk sums are reduced in index
+#: order, so the chunk boundaries (global multiples of _CHUNK) fix the
 #: output bits.
 _CHUNK = 1 << 18
 
@@ -181,6 +184,15 @@ def _ordered_map(fn, items, threads: int) -> list:
     return done
 
 
+def _gauss_blocks(n: int) -> list[tuple[int, int]]:
+    """Bounds (s, e) of the Gauss blocks of n pieces: _GAUSS_BLOCK pieces
+    each, but the last takes the remainder too, so only a call with fewer
+    than _GAUSS_BLOCK pieces has a block shorter than that."""
+    k = n // _GAUSS_BLOCK or min(n, 1)
+    return [(i * _GAUSS_BLOCK, n if i == k - 1 else (i + 1) * _GAUSS_BLOCK)
+            for i in range(k)]
+
+
 def gauss8_pieces(mid: np.ndarray, half: np.ndarray, d1: np.ndarray,
                   d2: np.ndarray | None = None,
                   theta: float = 1.0) -> np.ndarray:
@@ -188,35 +200,42 @@ def gauss8_pieces(mid: np.ndarray, half: np.ndarray, d1: np.ndarray,
     [mid - half, mid + half] on which D(x) = d1 and D(theta x) = d2 are
     constant.  With d2 omitted the integrand is Delta(x)^2.
 
-    The integrand runs _GAUSS_BLOCK pieces at a time in node-major buffers,
-    (8, _GAUSS_BLOCK) with the nodes down axis 0, allocated once per call and
-    reused through out= ufuncs, so that each ufunc runs 8 flat loops over
-    the pieces rather than one 8-element loop per piece: x = mid + half *
-    node, Delta at x and at theta * x (_delta_at), and their product,
-    written through the transposed view of one C-contiguous (n, 8) buffer.
-    These operations are elementwise, so a piece's integrand does not
-    depend on the block it runs in.  The weighted sum over the nodes is one
-    `prod @ _GAUSS_WEIGHTS` over the whole (n, 8) buffer: the BLAS gemv
-    behind it may round a row differently depending on where the row sits
-    in the matrix, so one gemv per call is what makes the result
-    independent of the block size.
+    The pieces run one Gauss block (_gauss_blocks) at a time through
+    node-major buffers, (8, rows) with the nodes down axis 0, allocated once
+    per call and reused through out= ufuncs, so that each ufunc runs 8 flat
+    loops over the pieces rather than one 8-element loop per piece: x = mid
+    + half * node, Delta at x and at theta * x (_delta_at), and their
+    product, written through the transposed view of a C-contiguous
+    (rows, 8) buffer.  These operations are elementwise, so a piece's
+    integrand does not depend on its block.  The weighted sum over the
+    nodes is one gemv per block, `prod @ _GAUSS_WEIGHTS` into the block's
+    slice of the result, which is then scaled by half.  A BLAS gemv may
+    round a row differently depending on where the row sits in the matrix
+    (its offset from the kernel's unrolled groups, or a short tail): every
+    block starts at a multiple of _GAUSS_BLOCK and only the last one ends
+    with the call's tail, so each row is rounded as in a single gemv over
+    all n rows, and the result does not depend on the block size.
     """
     n = len(mid)
-    prod = np.empty((n, len(_GAUSS_NODES)))
-    shape = (len(_GAUSS_NODES), min(n, _GAUSS_BLOCK))
+    blocks = _gauss_blocks(n)
+    rows = max((e - s for s, e in blocks), default=0)
+    result = np.empty(n)
+    prod = np.empty((rows, len(_GAUSS_NODES)))
+    shape = (len(_GAUSS_NODES), rows)
     x, tmp, f1 = np.empty(shape), np.empty(shape), np.empty(shape)
     f2 = f1 if d2 is None else np.empty(shape)
     nodes = _GAUSS_NODES[:, None]
-    for s in range(0, n, _GAUSS_BLOCK):
-        e = min(s + _GAUSS_BLOCK, n)
+    for s, e in blocks:
         xb, tb, f1b, f2b = (a[:, :e - s] for a in (x, tmp, f1, f2))
         np.multiply(half[s:e], nodes, out=xb)
         np.add(mid[s:e], xb, out=xb)
         _delta_at(d1[s:e], xb, f1b, tb)
         if d2 is not None:
             _delta_at(d2[s:e], np.multiply(theta, xb, out=xb), f2b, tb)
-        np.multiply(f1b, f2b, out=prod[s:e].T)
-    return half * (prod @ _GAUSS_WEIGHTS)
+        np.multiply(f1b, f2b, out=prod[:e - s].T)
+        np.matmul(prod[:e - s], _GAUSS_WEIGHTS, out=result[s:e])
+    result *= half
+    return result
 
 
 @dataclass(frozen=True)
@@ -260,16 +279,20 @@ def mean_square(X: float, table: DivisorTable | None = None) -> float:
     cd = table.cumulative()
 
     # pieces [n, min(n + 1, X)] for n = 1, ..., ceil(X) - 1, on which
-    # D = D(n), one chunk of _CHUNK pieces at a time
+    # D = D(n), one chunk of _CHUNK pieces at a time, each chunk built and
+    # integrated one Gauss block at a time and rounded to one exact sum
     end = math.ceil(X)
-    chunk_sums = []
-    for lo in range(1, end, _CHUNK):
-        left = np.arange(lo, min(lo + _CHUNK, end), dtype=np.float64)
-        right = np.minimum(left + 1, X)
-        piece = gauss8_pieces(0.5 * (left + right), 0.5 * (right - left),
-                              cd[lo:lo + len(left)].astype(np.float64))
-        chunk_sums.append(exact_sum(piece))
-    return math.fsum(chunk_sums)
+
+    def pieces(lo, hi):
+        for s, e in _gauss_blocks(hi - lo):
+            left = np.arange(lo + s, lo + e, dtype=np.float64)
+            right = np.minimum(left + 1, X)
+            yield gauss8_pieces(0.5 * (left + right), 0.5 * (right - left),
+                                cd[lo + s:lo + e].astype(np.float64))
+
+    return math.fsum(
+        exact_block_sum(partial(pieces, lo, min(lo + _CHUNK, end)))
+        for lo in range(1, end, _CHUNK))
 
 
 def tong_ratio_oracle(limit: int = 2_000_000,
@@ -283,9 +306,15 @@ def tong_ratio_oracle(limit: int = 2_000_000,
     """
     if table is None or table.limit < limit:
         table = sieve_tau(limit)
-    n = np.arange(1, limit + 1, dtype=np.float64)
-    t2 = table.counts[1:limit + 1].astype(np.float64) ** 2
-    partial = exact_sum(t2 / n**1.5)
+
+    def terms():
+        for s in range(1, limit + 1, _TONG_BLOCK):
+            n = np.arange(s, min(s + _TONG_BLOCK, limit + 1),
+                          dtype=np.float64)
+            t2 = table.counts[s:s + len(n)].astype(np.float64) ** 2
+            yield t2 / n**1.5
+
+    partial = exact_block_sum(terms)
 
     # tail of integral_N^inf t^{-3/2} log^k t dt by the exact recurrence
     # I_k = 2 N^{-1/2} log^k N + 2k I_{k-1}

@@ -65,6 +65,27 @@ def exact_sum(a) -> float:
     return exact_prefix_sums(a, [len(a)])[0]
 
 
+def exact_block_sum(blocks) -> float:
+    """math.fsum over the concatenation of the float64 arrays that
+    `blocks()` yields, bitwise, holding one block at a time: the exact
+    block sums are added as ints, and the total is rounded once.
+
+    `blocks` is called once more, to let math.fsum itself read the values,
+    only where a block holds a non-finite value or one of magnitude
+    >= 2^1000, or the blocks sum to exactly zero (whose sign fsum decides).
+    """
+    scaled = 0
+    for b in blocks():
+        part = _scaled_sum(b)
+        if part is None:
+            break
+        scaled += part
+    else:
+        if scaled:
+            return scaled / _SCALE
+    return math.fsum(v for b in blocks() for v in b.tolist())
+
+
 def exact_prefix_sums(a, stops) -> list[float]:
     """[exact_sum(a[:s]) for s in stops] for non-decreasing `stops`, reading
     each value of `a` once: the exact segment sums are added as ints.

@@ -216,6 +216,25 @@ def test_distance_fold_range():
     assert d == Fraction(1, 10)  # 2.1 -> 0.1
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**40),
+       st.integers(1, 10**6), st.integers(0, 2), st.integers(-60, 0))
+@example(1, 4, 2, 0, -3)   # the midpoint tie: 1/2
+@example(3, 1, 5, 0, 0)    # an integer anchor: 0
+@example(5, 12, 24, 0, 0)  # den divides m: 0
+def test_distance_equals_fraction_arithmetic(p, q, m, j, log2_err):
+    # the integer fold against the Fraction one it replaced; q * m^j makes
+    # m share factors with the anchor's denominator
+    anchor = Fraction(p, q * m**j)
+    enc = dio.Enclosure(anchor, log2_err if log2_err else -math.inf, 0)
+    d, err = dio._dist_from_enclosure(enc, m)
+    f = (m * anchor) % 1
+    want = min(f, 1 - f)
+    assert type(d) is Fraction and d == want and hash(d) == hash(want)
+    assert (d.numerator, d.denominator) == (want.numerator, want.denominator)
+    assert err == (log2_err + math.log2(m) if log2_err else -math.inf)
+
+
 def test_nearest_distance_rejects_rational():
     with pytest.raises(ValueError):
         dio.nearest_distance(dio.theta_parse("rat:3/2"), 4)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import divcorr
-from divcorr.divisor import (_GAUSS_BLOCK, TWO_GAMMA_MINUS_1, delta,
+from divcorr.divisor import (_CHUNK, _GAUSS_BLOCK, _TONG_BLOCK,
+                             TWO_GAMMA_MINUS_1, _gauss_blocks, delta,
                              gauss8_pieces, mean_square, sieve_tau,
                              summatory_D, summatory_D_many, tong_ratio_oracle)
 from divcorr.errors import ResourceLimit
@@ -190,7 +191,39 @@ def gauss8_inputs(n, with_d2):
     return mid, half, d1, d2, theta
 
 
-@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 12293])
+def mean_square_one_shot(X, table):
+    """mean_square before it streamed its Gauss blocks: the unit pieces of
+    each _CHUNK integrated at once by gauss8_one_shot, each chunk rounded by
+    math.fsum, then the fsum of the chunk sums."""
+    cd = table.cumulative()
+    end = math.ceil(X)
+    chunk_sums = []
+    for lo in range(1, end, _CHUNK):
+        left = np.arange(lo, min(lo + _CHUNK, end), dtype=np.float64)
+        right = np.minimum(left + 1, X)
+        piece = gauss8_one_shot(0.5 * (left + right), 0.5 * (right - left),
+                                cd[lo:lo + len(left)].astype(np.float64))
+        chunk_sums.append(math.fsum(piece.tolist()))
+    return math.fsum(chunk_sums)
+
+
+def test_gauss_blocks_merge_the_remainder_into_the_last_block():
+    B = _GAUSS_BLOCK
+    assert _gauss_blocks(0) == []
+    assert _gauss_blocks(1) == [(0, 1)]
+    assert _gauss_blocks(B - 1) == [(0, B - 1)]
+    assert _gauss_blocks(B) == [(0, B)]
+    assert _gauss_blocks(2 * B - 1) == [(0, 2 * B - 1)]
+    assert _gauss_blocks(2 * B) == [(0, B), (B, 2 * B)]
+    assert _gauss_blocks(2 * B + 1) == [(0, B), (B, 2 * B + 1)]
+    for n in (3 * B + 5, _CHUNK, _CHUNK + 7):
+        blocks = _gauss_blocks(n)
+        assert [s for s, _ in blocks] == list(range(0, n - B + 1, B))
+        assert all(e == s2 for (_, e), (s2, _) in zip(blocks, blocks[1:]))
+        assert blocks[-1][1] == n and B <= n - blocks[-1][0] < 2 * B
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193, 12293])
 @pytest.mark.parametrize("with_d2", [False, True])
 def test_blocked_gauss8_matches_one_shot(n, with_d2):
     args = gauss8_inputs(n, with_d2)
@@ -230,18 +263,24 @@ def test_gauss8_output_is_pinned(n, with_d2):
         GAUSS8_DIGESTS[n, with_d2]
 
 
-# the kernel against the row-major oracle in the same child process, so both
-# run the same ufunc and BLAS loops
+# the kernel and mean_square against their one-shot oracles in the same
+# child process, so both run the same ufunc and BLAS loops: 8193 pieces end
+# in a 1-piece tail after two blocks, and mean_square at 4098 runs one
+# 4097-piece block, at 262146 a full chunk and then a 1-piece chunk
 _GAUSS8_CHILD = """
 import sys
 sys.path.insert(0, %r)
-from test_divisor import gauss8_inputs, gauss8_one_shot
-from divcorr.divisor import gauss8_pieces
-for n in (1, 4097, 12293):
+from test_divisor import gauss8_inputs, gauss8_one_shot, mean_square_one_shot
+from divcorr.divisor import gauss8_pieces, mean_square, sieve_tau
+for n in (1, 4097, 8193, 12293):
     for with_d2 in (False, True):
         args = gauss8_inputs(n, with_d2)
         got, want = gauss8_pieces(*args), gauss8_one_shot(*args)
         assert got.tobytes() == want.tobytes(), (n, with_d2)
+table = sieve_tau(262146)
+for X in (4098, 262146):
+    got, want = mean_square(X, table), mean_square_one_shot(X, table)
+    assert got.hex() == want.hex(), (X, got, want)
 print("ok")
 """ % (str(Path(__file__).resolve().parent),)
 
@@ -266,8 +305,10 @@ def test_gauss8_matches_one_shot_under_other_dispatch(var, value):
 
 
 def test_gauss8_scratch_is_five_block_buffers_at_most():
-    # beyond the (n, 8) product and the result, the kernel holds its
-    # node-major (8, _GAUSS_BLOCK) buffers, whatever n is
+    # a bound that also holds for a kernel with a whole-call (n, 8)
+    # product: beyond n * (8 + 1) doubles, at most five (8, _GAUSS_BLOCK)
+    # buffers, whatever n is (test_gauss8_holds_no_n_by_8_buffer below is
+    # the stricter bound)
     n = 3 * _GAUSS_BLOCK + 5
     for with_d2 in (False, True):
         args = gauss8_inputs(n, with_d2)
@@ -279,6 +320,49 @@ def test_gauss8_scratch_is_five_block_buffers_at_most():
             tracemalloc.stop()
         prod_and_result = n * (8 + 1) * 8
         assert peak - prod_and_result <= 5 * 8 * _GAUSS_BLOCK * 8
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: bytes of one (8, 2 * _GAUSS_BLOCK) float64 buffer: a Gauss block has
+#: fewer than 2 * _GAUSS_BLOCK pieces, the last one of a call included
+_GAUSS_BUF = 8 * 2 * _GAUSS_BLOCK * 8
+
+
+@pytest.mark.parametrize("n", [2 * _GAUSS_BLOCK - 1, _CHUNK + 5])
+def test_gauss8_holds_no_n_by_8_buffer(n):
+    # beyond the result, the kernel holds five block buffers, the (rows, 8)
+    # product among them, and a few KB of views: no (n, 8) product, which
+    # for a chunk of 2^18 pieces would be 16 MB
+    for with_d2 in (False, True):
+        args = gauss8_inputs(n, with_d2)
+        assert traced_peak(gauss8_pieces, *args) - n * 8 <= \
+            5 * _GAUSS_BUF + 2**14
+
+
+def test_tong_oracle_scratch_is_block_sized(big_table):
+    # the series runs _TONG_BLOCK terms at a time: n, tau^2, n^1.5, the
+    # terms and the exact sum's temporaries, whatever the limit (the whole
+    # series at once would hold five float64 arrays of it, 80 MB at 2e6)
+    for limit in (300_000, 2_000_000):
+        assert traced_peak(tong_ratio_oracle, limit, big_table) <= \
+            8 * _TONG_BLOCK * 8
+
+
+@pytest.mark.parametrize("X", [8192, _CHUNK + 2 * _GAUSS_BLOCK - 1, 1e6])
+def test_mean_square_scratch_is_block_sized(X, big_table):
+    # beyond cumulative(), one Gauss block at a time: the kernel's four
+    # buffers of the largest block and the block's own pieces and exact
+    # sum, whatever X is (a whole chunk of 2^18 pieces traces 28.8 MB)
+    big_table.cumulative()
+    assert traced_peak(mean_square, X, big_table) <= 6 * _GAUSS_BUF
 
 
 def test_summatory_examples():

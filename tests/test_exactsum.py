@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from divcorr.divisor import (gauss8_pieces, mean_square, sieve_tau,
                              tong_ratio_oracle)
-from divcorr.exactsum import _BLOCK, exact_prefix_sums, exact_sum
+from divcorr.exactsum import (_BLOCK, exact_block_sum, exact_prefix_sums,
+                               exact_sum)
 from divcorr.voronoi import _4PI, _SQRT2_PI, q_n
 
 
@@ -129,6 +130,60 @@ def test_prefix_sums_fall_back_from_a_non_finite_segment():
     a = np.array([1.0, 2.0, math.inf, 4.0])
     got = exact_prefix_sums(a, [1, 2, 3, 4])
     assert got == [1.0, 3.0, math.inf, math.inf]
+
+
+def assert_block_sum_is_fsum(blocks):
+    """exact_block_sum over `blocks` equals math.fsum over their
+    concatenation, and reads the blocks a second time only where fsum has
+    to decide: a non-finite or huge value, or an exactly zero total."""
+    calls = []
+
+    def gen():
+        calls.append(1)
+        return (np.array(b, dtype=np.float64) for b in blocks)
+
+    flat = [float(x) for b in blocks for x in b]
+    assert outcome(lambda _: exact_block_sum(gen), None) == \
+        outcome(math.fsum, flat)
+    plain = all(math.isfinite(x) and abs(x) < 2.0**1000 for x in flat)
+    assert len(calls) == (1 if plain and math.fsum(flat) else 2)
+
+
+_ANY = _WIDE | _SUBNORMAL | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 2.0**1000, -1.7e308, 1e308])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_WIDE | _SUBNORMAL, max_size=12), max_size=6))
+def test_block_sum_matches_fsum_of_the_concatenation(blocks):
+    assert_block_sum_is_fsum(blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_ANY, max_size=6), max_size=5))
+def test_block_sum_falls_back_like_fsum(blocks):
+    assert_block_sum_is_fsum(blocks)
+
+
+@pytest.mark.parametrize("blocks", [
+    [], [[]], [[], []], [[-0.0], [-0.0]], [[0.0], [-0.0]], [[1.0], [-1.0]],
+    [[2.0**-1074], [], [-2.0**-1074]], [[1.0], [math.inf]],
+    [[math.inf], [-math.inf]], [[1e308], [1e308]], [[1e308], [1e308, -1e308]],
+    [[1.0, 2.0**1000], [-2.0**1000]],
+    [[1.0] * 3, [2.0**-53] * 2, [2.0**-1074]],
+])
+def test_block_sum_edge_cases(blocks):
+    assert_block_sum_is_fsum(blocks)
+
+
+def test_block_sum_across_exact_sum_blocks():
+    # blocks longer than _BLOCK, cancelling all but a tiny remainder
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(_BLOCK + 3) * np.exp2(rng.integers(-60, 60,
+                                                               _BLOCK + 3))
+    blocks = [a, -a[::-1][:_BLOCK], -a[::-1][_BLOCK:], np.array([2.0**-1074])]
+    flat = np.concatenate(blocks).tolist()
+    assert exact_block_sum(lambda: blocks).hex() == math.fsum(flat).hex()
 
 
 # --- the fsum(... .tolist()) reductions exact_sum replaced, as oracles -------
