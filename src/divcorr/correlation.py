@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diophantine import Theta, theta_parse
-from .divisor import (_CHUNK, DivisorTable, _ordered_map, gauss8_pieces,
-                      sieve_tau)
+from .divisor import (_CHUNK, DivisorTable, _gauss_blocks, _ordered_map,
+                      gauss8_pieces, sieve_tau)
 from .errors import ResourceLimit
 from .exactsum import exact_prefix_sums
 from .realfield import PsiFunction, _fmt
@@ -91,18 +91,21 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
     from its sorted values at start - below(a) (equal values never
     straddle an integer, so the slice is the global sort's).  A piece's
     D(x) and D(theta x) indices follow from its global index too.  Each
-    chunk is integrated by gauss8_pieces and reduced to exact_sum of its
-    pieces and, for each grid X inside it, exact_sum of its pieces before
-    X (exact_prefix_sums: the exact sums of the segments between grid
-    points are added as integers, so no piece is read twice).  A correctly
-    rounded sum is unique, so these are the floats math.fsum returns; then
-    the chunk is dropped.  I(X) is the fsum of the earlier chunk sums plus
-    that partial sum.  Memory is O(threads * _CHUNK) besides the table: a
-    chunk in flight holds its breakpoint window and about eight float64 or
-    int64 arrays of _CHUNK pieces, plus gauss8_pieces' block buffers (17.3
-    MB traced for the whole sweep to X = 4e6 at one thread, 38.6 MB at
-    two).  The output bits do not depend on `threads` (with more than one
-    chunk, _ordered_map runs the chunks on `threads` workers).
+    chunk is integrated by gauss8_pieces one Gauss block at a time, with
+    the kernel's own block bounds (so each piece's bits are those of one
+    call over the chunk), into one array of piece integrals, and reduced to
+    exact_sum of its pieces and, for each grid X inside it, exact_sum of
+    its pieces before X (exact_prefix_sums: the exact sums of the segments
+    between grid points are added as integers, so no piece is read twice).
+    A correctly rounded sum is unique, so these are the floats math.fsum
+    returns; then the chunk is dropped.  I(X) is the fsum of the earlier
+    chunk sums plus that partial sum.  Memory is O(threads * _CHUNK)
+    besides the table: a chunk in flight holds its breakpoint window and
+    its piece integrals, two float64 arrays of about _CHUNK, plus one Gauss
+    block's arrays and gauss8_pieces' five block buffers (6.4 MB traced for
+    the whole sweep to X = 4e6 at one thread, 14.3 MB at two).  The output
+    bits do not depend on `threads` (with more than one chunk,
+    _ordered_map runs the chunks on `threads` workers).
     """
     th = float(theta)
     if th <= 0:
@@ -146,40 +149,55 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
         integer with below(b) > start + _CHUNK."""
         a = bisect.bisect_right(ints, start, key=below)
         b = bisect.bisect_right(ints, start + _CHUNK, key=below) + 1
-        vals = np.concatenate((
-            [1.0] if a == 1 else [],
-            np.arange(max(a, 2), min(b, i_hi + 1), dtype=np.float64),
-            np.arange(_first_n_at_or_above(a, th, n_lo, n_hi),
-                      _first_n_at_or_above(min(b, past), th, n_lo, n_hi),
-                      dtype=np.float64) / th,
-            xs_sorted[bisect.bisect_left(xs_sorted, a):
-                      bisect.bisect_left(xs_sorted, b)]))
+        i0, i1 = max(a, 2), min(b, i_hi + 1)
+        n0 = _first_n_at_or_above(a, th, n_lo, n_hi)
+        n1 = _first_n_at_or_above(min(b, past), th, n_lo, n_hi)
+        grid = xs_sorted[bisect.bisect_left(xs_sorted, a):
+                         bisect.bisect_left(xs_sorted, b)]
+        # the four sorted runs in one array: the 1.0 head, the integers,
+        # the n / theta from j and the grid X from k
+        head = int(a == 1)
+        j = head + i1 - i0
+        k = j + n1 - n0
+        vals = np.empty(k + len(grid))
+        vals[:head] = 1.0
+        vals[head:j] = np.arange(i0, i1, dtype=np.float64)
+        np.divide(np.arange(n0, n1, dtype=np.float64), th, out=vals[j:k])
+        vals[k:] = grid
         vals.sort(kind="stable")  # timsort: merges the four sorted runs
         i = start - below(a)
         return vals[i:i + _CHUNK + 1]
 
     def integrate(start, vals):
-        left, right = vals[:-1], vals[1:]
-        width = right - left
+        n = len(vals) - 1
         offs = [i - start for i in grid_at if start < i < start + _CHUNK]
-        # D(x) index: min(floor(left), floor(Xmax)), which is 1 plus the
-        # count of integer breakpoints 2..i_hi up to left (left >= 1)
-        idx = left.astype(np.int64)
-        np.minimum(idx, i_hi, out=idx)
-        d1 = cd[idx].astype(np.float64)
-        # D(theta x) index: on a live piece j the breakpoints up to left are
-        # the first start + j + 1, namely 1.0, idx - 1 integers, the grid X
-        # at or before global index start + j, and the n / th from
-        # floor(th) + 1 on.  A dead piece's index may be -1, a valid read:
-        # the piece is zeroed below.
-        k = n_lo + start - sum(i <= start for i in grid_at)
-        np.subtract(np.arange(k, k + len(left)), idx, out=idx)
-        for off in offs:
-            idx[off:] -= 1
-        piece = gauss8_pieces(0.5 * (left + right), 0.5 * width, d1,
-                              cd[idx].astype(np.float64), th)
-        piece[~(width > _MERGE_TOL)] = 0.0
-        sums = exact_prefix_sums(piece, offs + [len(piece)])
+        # one Gauss block at a time, with gauss8_pieces' own block bounds,
+        # so each block's call runs the gemv on the rows at the offsets
+        # that a call over the whole chunk would
+        piece = np.empty(n)
+        for s, e in _gauss_blocks(n):
+            left, right = vals[s:e], vals[s + 1:e + 1]
+            width = right - left
+            # D(x) index: min(floor(left), floor(Xmax)), which is 1 plus
+            # the count of integer breakpoints 2..i_hi up to left (left >= 1)
+            idx = left.astype(np.int64)
+            np.minimum(idx, i_hi, out=idx)
+            d1 = cd[idx].astype(np.float64)
+            # D(theta x) index: on a live piece j the breakpoints up to left
+            # are the first start + j + 1, namely 1.0, idx - 1 integers,
+            # the grid X at or before global index start + j, and the
+            # n / th from floor(th) + 1 on.  A dead piece's index may be -1,
+            # a valid read: the piece is zeroed below.
+            k = n_lo + start + s - sum(i <= start + s for i in grid_at)
+            np.subtract(np.arange(k, k + e - s), idx, out=idx)
+            for off in offs:
+                if s < off < e:
+                    idx[off - s:] -= 1
+            out = piece[s:e]
+            out[...] = gauss8_pieces(0.5 * (left + right), 0.5 * width, d1,
+                                     cd[idx].astype(np.float64), th)
+            out[~(width > _MERGE_TOL)] = 0.0
+        sums = exact_prefix_sums(piece, offs + [n])
         return sums[-1], {start + off: p for off, p in zip(offs, sums)}
 
     # the values are built as the pool draws each chunk, so chunk c + 1's

@@ -55,9 +55,13 @@ class DivisorTable:
         return int(self.counts[n])
 
     def cumulative(self) -> np.ndarray:
-        """D(n) for 0 <= n <= limit as int64 (cached)."""
+        """D(n) for 0 <= n <= limit as int64 (cached), summed in place in
+        its one int64 array: 15.3 MB traced at limit 2e6, where
+        np.cumsum(counts, dtype=np.int64) would also hold an int64 cast of
+        the counts (30.5 MB)."""
         if not self._cumulative:
-            cd = np.cumsum(self.counts, dtype=np.int64)
+            cd = self.counts.astype(np.int64)
+            np.cumsum(cd, out=cd)
             cd.flags.writeable = False
             self._cumulative.append(cd)
         return self._cumulative[0]

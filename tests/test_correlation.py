@@ -15,6 +15,7 @@ from divcorr.divisor import (TWO_GAMMA_MINUS_1, DivisorTable, gauss8_pieces,
                              mean_square, summatory_D)
 from divcorr.diophantine import theta_parse
 from divcorr.errors import ResourceLimit
+from divcorr.exactsum import exact_prefix_sums
 from divcorr.realfield import psi_parse
 
 
@@ -377,6 +378,115 @@ def test_sweep_drops_breakpoint_one_ulp_past_the_cap(spec, X, n, chunk,
     assert sum(pieces) == len(vals) - 1
 
 
+def grid_at_indices(th: float, n_pieces: int, targets: list[int]):
+    """Grid X for which the sweep has n_pieces pieces and a grid X first
+    equal to the breakpoint at each global index in `targets` (ascending,
+    below the last unit's pieces): the t-th is the value at index
+    targets[t] - t before any of them is added, and filler X in
+    (floor(Xmax), Xmax) make up the count."""
+    m = (n_pieces - len(targets)) // (1 + th)
+    while True:
+        X = m + 0.25
+        vals, _ = materialised_breakpoints(th, [X])
+        fill = n_pieces - len(targets) - (len(vals) - 1)
+        if fill >= 0:
+            break
+        m -= 1
+    xs = [float(vals[T - t]) for t, T in enumerate(targets)]
+    xs += np.linspace(m, X, fill + 2)[1:-1].tolist() + [X]
+    vals, _ = materialised_breakpoints(th, xs)
+    assert len(vals) - 1 == n_pieces
+    assert np.searchsorted(vals, xs[:len(targets)]).tolist() == targets
+    return xs
+
+
+def chunk_wide_sweep(th: float, xs: list[float], table):
+    """(X, I, breakpoints_used) per grid X from the sweep's chunk integrator
+    as it was before it ran one Gauss block at a time: a chunk's pieces in
+    one gauss8_pieces call, its D(x) and D(theta x) indices from its global
+    index, reduced by exact_prefix_sums.  Each chunk's breakpoints are
+    sliced from the materialised ones."""
+    vals, _ = materialised_breakpoints(th, xs)
+    xs_sorted = sorted(set(float(x) for x in xs))
+    grid_at = np.searchsorted(vals, xs_sorted).tolist()
+    cd = table.cumulative()
+    i_hi, n_lo = math.floor(xs_sorted[-1]), math.floor(th) + 1
+    chunk = correlation._CHUNK
+
+    def integrate(start, vals):
+        left, right = vals[:-1], vals[1:]
+        width = right - left
+        offs = [i - start for i in grid_at if start < i < start + chunk]
+        idx = left.astype(np.int64)
+        np.minimum(idx, i_hi, out=idx)
+        d1 = cd[idx].astype(np.float64)
+        k = n_lo + start - sum(i <= start for i in grid_at)
+        np.subtract(np.arange(k, k + len(left)), idx, out=idx)
+        for off in offs:
+            idx[off:] -= 1
+        piece = gauss8_pieces(0.5 * (left + right), 0.5 * width, d1,
+                              cd[idx].astype(np.float64), th)
+        piece[~(width > correlation._MERGE_TOL)] = 0.0
+        sums = exact_prefix_sums(piece, offs + [len(piece)])
+        return sums[-1], {start + off: p for off, p in zip(offs, sums)}
+
+    done = [integrate(s, vals[s:s + chunk + 1])
+            for s in range(0, len(vals) - 1, chunk)]
+    chunk_totals = [total for total, _ in done]
+    partial = {i: p for _, parts in done for i, p in parts.items()}
+    out = []
+    for x, i in zip(xs_sorted, grid_at):
+        ci, off = divmod(i, chunk)
+        total = math.fsum(chunk_totals[:ci])
+        if off:
+            total += partial[i]
+        out.append((x, total, i))
+    return out
+
+
+_G = divisor._GAUSS_BLOCK
+#: (pieces, grid indices) of rat:2/1 sweeps at the default _CHUNK: the
+#: second chunk is three Gauss blocks, the last 5096 pieces long, or one
+#: block of 1000; grid X sit on block edges, on the chunk edge and inside
+#: the long last block
+EDGE_SWEEPS = [
+    (correlation._CHUNK + 3 * _G + 1000,
+     [4 * _G, 6 * _G, correlation._CHUNK, correlation._CHUNK + _G,
+      correlation._CHUNK + 3 * _G + 500]),
+    (correlation._CHUNK + 1000, [_G, correlation._CHUNK + 502]),
+]
+
+
+@pytest.mark.parametrize("n_pieces, targets", EDGE_SWEEPS)
+def test_sweep_gauss_blocks_at_chunk_and_grid_edges(n_pieces, targets,
+                                                    monkeypatch, big_table):
+    # the sweep integrates each chunk one Gauss block at a time; rat:2/1
+    # has a dead piece (n / theta equal to an integer) in every unit, so
+    # dead pieces and grid offsets fall on either side of block edges.
+    # Each kernel call must be one of _gauss_blocks' blocks of its chunk:
+    # a gemv may round a row by its place in the matrix, and with those
+    # bounds each row keeps its place in a call over the whole chunk
+    xs = grid_at_indices(2.0, n_pieces, targets)
+    want = materialised_sweep(2.0, xs, big_table, correlation._CHUNK)
+    assert chunk_wide_sweep(2.0, xs, big_table) == want
+    blocks = [e - s for n in (correlation._CHUNK,
+                              n_pieces - correlation._CHUNK)
+              for s, e in divisor._gauss_blocks(n)]
+    calls = []
+
+    def kernel(mid, *args):
+        calls.append(len(mid))
+        return gauss8_pieces(mid, *args)
+
+    monkeypatch.setattr(correlation, "gauss8_pieces", kernel)
+    for threads in (1, 2):
+        calls.clear()
+        got = correlation._sweep(theta_parse("rat:2/1"), xs, big_table,
+                                 threads)
+        assert [(r.X, r.I, r.breakpoints_used) for r in got] == want
+        assert sorted(calls) == sorted(blocks)
+
+
 def test_single_chunk_sweep_runs_inline(table_2e4, monkeypatch):
     want = correlate_grid("surd:2", 100.0, 5000.0, 6, table_2e4, threads=1)
 
@@ -419,3 +529,21 @@ def test_sweep_memory_does_not_grow_with_X(big_table):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_sweep_memory_is_two_chunk_arrays_and_the_gauss_buffers(big_table):
+    # one chunk (about 241k pieces at X = 1e5) holds its breakpoint window
+    # and its piece integrals, float64 arrays of at most _CHUNK + 1, and
+    # integrates one Gauss block at a time: gauss8_pieces' five buffers of
+    # fewer than 8 x 8192 doubles, plus the block's own short arrays (17.2
+    # MB traced while the whole chunk went through one call)
+    big_table.cumulative()
+    tracemalloc.start()
+    try:
+        correlate_exact("surd:2", 1e5, big_table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk_array = 8 * (correlation._CHUNK + 1)
+    gauss_buf = 8 * 8 * (2 * divisor._GAUSS_BLOCK - 1)
+    assert peak <= 2 * chunk_array + 5 * gauss_buf + 2**19

@@ -14,8 +14,8 @@ from scipy.integrate import quad
 
 import divcorr
 from divcorr.divisor import (_CHUNK, _GAUSS_BLOCK, _TONG_BLOCK,
-                             TWO_GAMMA_MINUS_1, _gauss_blocks, delta,
-                             gauss8_pieces, mean_square, sieve_tau,
+                             TWO_GAMMA_MINUS_1, DivisorTable, _gauss_blocks,
+                             delta, gauss8_pieces, mean_square, sieve_tau,
                              summatory_D, summatory_D_many, tong_ratio_oracle)
 from divcorr.errors import ResourceLimit
 
@@ -89,6 +89,24 @@ def test_sieve_2e6_bytes_are_pinned(big_table):
     # recorded from the harmonic sieve
     assert hashlib.sha256(big_table.counts.tobytes()).hexdigest() == (
         "8f20759231a6072b7464c072fc5f6d05cba6740de4805c41272c4c81c36f273d")
+
+
+def test_cumulative_is_one_int64_table(big_table):
+    # D summed in place in its int64 copy of the counts: no second int64
+    # array for a cast (30.5 MB traced at this limit), also under a numpy
+    # that copied an aliased out= operand
+    fresh = DivisorTable(big_table.limit, big_table.counts)
+    tracemalloc.start()
+    try:
+        cd = fresh.cumulative()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (big_table.limit + 1) + 2**16
+    want = np.cumsum(big_table.counts, dtype=np.int64)
+    assert cd.dtype == want.dtype and cd.tobytes() == want.tobytes()
+    assert not cd.flags.writeable
+    assert fresh.cumulative() is cd
 
 
 def hyperbola_loop(x: int) -> int:
@@ -263,14 +281,20 @@ def test_gauss8_output_is_pinned(n, with_d2):
         GAUSS8_DIGESTS[n, with_d2]
 
 
-# the kernel and mean_square against their one-shot oracles in the same
+# the kernel, mean_square and the sweep against their oracles in the same
 # child process, so both run the same ufunc and BLAS loops: 8193 pieces end
 # in a 1-piece tail after two blocks, and mean_square at 4098 runs one
-# 4097-piece block, at 262146 a full chunk and then a 1-piece chunk
+# 4097-piece block, at 262146 a full chunk and then a 1-piece chunk.  The
+# rat:2/1 sweep integrates a full chunk and then one that ends in a
+# 5096-piece Gauss block, one block at a time, against the whole-chunk
+# kernel calls of chunk_wide_sweep
 _GAUSS8_CHILD = """
 import sys
 sys.path.insert(0, %r)
+from test_correlation import EDGE_SWEEPS, chunk_wide_sweep, grid_at_indices
 from test_divisor import gauss8_inputs, gauss8_one_shot, mean_square_one_shot
+from divcorr.correlation import _sweep
+from divcorr.diophantine import theta_parse
 from divcorr.divisor import gauss8_pieces, mean_square, sieve_tau
 for n in (1, 4097, 8193, 12293):
     for with_d2 in (False, True):
@@ -281,6 +305,11 @@ table = sieve_tau(262146)
 for X in (4098, 262146):
     got, want = mean_square(X, table), mean_square_one_shot(X, table)
     assert got.hex() == want.hex(), (X, got, want)
+xs = grid_at_indices(2.0, *EDGE_SWEEPS[0])
+got = [(r.X, r.I.hex(), r.breakpoints_used)
+       for r in _sweep(theta_parse("rat:2/1"), xs, table)]
+want = [(x, I.hex(), i) for x, I, i in chunk_wide_sweep(2.0, xs, table)]
+assert got == want, (got, want)
 print("ok")
 """ % (str(Path(__file__).resolve().parent),)
 
