@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -525,22 +526,28 @@ def cf_expand(theta: Theta, K: int) -> ContinuedFraction:
     return theta.continued_fraction(K)
 
 
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for a pair already in lowest terms (den >= 1),
+    set directly: Fraction() would run the gcd of the full pair again, and
+    even Fraction.__new__ alone runs its argument checks in Python."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num, den
+    return f
+
+
 def _dist_from_enclosure(enc: Enclosure, m: int):
     """(exact anchor distance, log2 error radius) of ||m * theta||.
 
     x -> dist(x, Z) is 1-Lipschitz, so the radius is m * 2**log2_err.
     The distance is min(r, den - r) / den for r = m * num mod den, with the
     anchor num / den in lowest terms; both r and den - r share exactly
-    g = gcd(m, den) with den, so dividing by g reduces the pair, and the
-    Fraction is built without the gcd of the full pair (huge for tau-beta
-    anchors) that Fraction arithmetic would run.
+    g = gcd(m, den) with den, so dividing by g reduces the pair, with no gcd
+    of the full pair (huge for tau-beta anchors).
     """
     num, den = enc.anchor.numerator, enc.anchor.denominator
     r = m * num % den
     g = math.gcd(m, den)
-    # the pair is in lowest terms: set it directly, with no gcd
-    d = Fraction.__new__(Fraction)
-    d._numerator, d._denominator = min(r, den - r) // g, den // g
+    d = _coprime_fraction(min(r, den - r) // g, den // g)
     err = enc.log2_err + math.log2(m) if enc.log2_err != -_INF else -_INF
     return d, err
 
@@ -702,11 +709,11 @@ def legendre_hits(theta: Theta, M: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ApproximationEvent:
+class ApproximationEvent(NamedTuple):
     """One tested m: `hit` is the certified ||m theta|| < 1/psi(m), and `d`
     the exact anchor of ||m theta||.  The 96-bit values `dist` and
-    `threshold` are computed when read; the scan decides without them."""
+    `threshold` are computed when read; the scan decides without them.
+    A tuple, since a scan builds thousands of them."""
 
     m: int
     d: Fraction
@@ -735,20 +742,18 @@ class ScanResult:
         return [e.m for e in self.events if e.hit]
 
 
-def _compare_dist_threshold(num: int, den: int, err: float,
-                            psi: PsiFunction, m: int) -> bool:
-    """Certified comparison dist < 1/psi(m), where dist = num/den +- 2^err
-    and num/den, the anchor distance, is a reduced pair (num >= 0,
-    den >= 1).  l2d = log2_ratio(num, den) is the float that log2_fraction
-    gives on Fraction(num, den), so the pair is decided on the same floats
-    and integers as that Fraction, with no Fraction arithmetic.
+def _screen(m: int, l2d: float, l2thr: float, err: float,
+            exact: bool) -> bool:
+    """Whether the log2 screen decides dist < 1/psi(m), for dist = d +- 2^err
+    with l2d a float near log2(d) and l2thr = -psi.log2(m); when it does,
+    the answer is l2d < l2thr.  `exact` says psi has an exact pair.
 
-    Screen: for m <= 2**53, l2d and l2thr = -psi.log2(m) are floats within
-    2**-20 of the exact logs while both are at most 2**30 in magnitude
-    (measured against a 256-bit reference in tests/test_realfield.py).
-    When they differ by more than 1 bit, the order of num/den and 1/psi(m)
-    is the order of the floats, and the larger value exceeds the smaller by
-    a factor above 2**(1 - 2**-19), so the exact gap is at least half the
+    For m <= 2**53, l2d and l2thr must be floats within 2**-20 of the exact
+    logs while both are at most 2**30 in magnitude (psi.log2 and log2_ratio
+    are measured against a 256-bit reference in tests/test_realfield.py).
+    When they differ by more than 1 bit, the order of d and 1/psi(m) is the
+    order of the floats, and the larger value exceeds the smaller by a
+    factor above 2**(1 - 2**-19), so the exact gap is at least half the
     larger: log2(gap) >= max(l2d, l2thr) - 1 - 2**-17.  A radius
     err <= max(l2d, l2thr) - 3 therefore stays below the exact test's limit
     log2(gap) - 1, and the screen returns what that test would.
@@ -758,12 +763,25 @@ def _compare_dist_threshold(num: int, den: int, err: float,
     min(l2d, l2thr) - 3, because their fallback, a comparison in log2 with
     a 1e-6 guard band, already gives up at err > min(l2d, l2thr) - 2.
     """
+    lo, hi = (l2d, l2thr) if l2d < l2thr else (l2thr, l2d)
+    return (m <= _SCREEN_M_MAX and hi - lo > 1
+            and -_SCREEN_LOG2_MAX <= lo and hi <= _SCREEN_LOG2_MAX
+            and err <= (hi if exact else lo) - 3)
+
+
+def _compare_dist_threshold(num: int, den: int, err: float,
+                            psi: PsiFunction, m: int) -> bool:
+    """Certified comparison dist < 1/psi(m), where dist = num/den +- 2^err
+    and num/den, the anchor distance, is a reduced pair (num >= 0,
+    den >= 1).  l2d = log2_ratio(num, den) is the float that log2_fraction
+    gives on Fraction(num, den), so the pair is decided on the same floats
+    and integers as that Fraction, with no Fraction arithmetic: first by
+    _screen, then, when psi has an exact pair P/Q, by num * P against
+    Q * den, else in log2 with a guard band.
+    """
     l2thr = -psi.log2(m)
     l2d = log2_ratio(num, den) if num else -_INF
-    screen = max(l2d, l2thr) if psi.has_exact_pair else min(l2d, l2thr)
-    if (m <= _SCREEN_M_MAX and abs(l2d - l2thr) > 1
-            and max(abs(l2d), abs(l2thr)) <= _SCREEN_LOG2_MAX
-            and err <= screen - 3):
+    if _screen(m, l2d, l2thr, err, psi.has_exact_pair):
         return l2d < l2thr
     if psi.has_exact_pair:
         # num/den < Q/P  <=>  num * P < Q * den
@@ -797,12 +815,17 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
     its distance from the convergent's resolved one: while g d <= 1/2,
     ||g q_k theta|| is g d with radius g 2^err, the same relative radius.
     With d = p/q reduced, that is 2 g p <= q, and g d is the reduced pair
-    of Fraction(g p, q).
+    (g p / h, q / h) for h = gcd(g, q).
 
     Each event is decided on the reduced pair of its exact anchor distance,
     from log2 values and, for near-ties, integer cross-multiplication, with
     no Fraction arithmetic and without building psi(m): its 96-bit `dist`
-    and `threshold` are computed only when read.
+    and `threshold` are computed only when read.  The walk over the
+    multiples takes one log2_ratio per convergent: l2d = L + log2 g for
+    L = log2_ratio(p, q) is within 2**-20 of log2(g d), as _screen needs,
+    while |l2d| <= 2**30 (2**-23 at worst, measured against a 256-bit
+    reference in tests/test_realfield.py); events the screen leaves go to
+    _compare_dist_threshold on the reduced pair.
 
     certified_to is M unless a distance or comparison does not resolve at
     some m (then at most m - 1), or m* <= M and the certified expansion
@@ -832,7 +855,7 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
         nonlocal certified_to
         if m in events:
             if is_conv and not events[m].is_convergent:
-                events[m] = replace(events[m], is_convergent=True)
+                events[m] = events[m]._replace(is_convergent=True)
             return
         try:
             d, err = dist or _resolve_distance(theta, m)
@@ -849,6 +872,7 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
     fast_from = m_star if m_star <= M else None
 
     # convergent denominators and their admissible multiples
+    exact = psi.has_exact_pair
     convs = _convergents_past(theta, M)
     for c in convs:
         if c.m > M:
@@ -862,12 +886,33 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
         if m_star > M:
             continue
         # a fast-region hit at g*m_k forces g*||m_k theta|| < 1/2, that is
-        # 2 g p <= q: g_cap is the first g past that bound
+        # 2 g p <= q: the g up to g_half share the convergent's distance,
+        # and the first g past it resolves its own
         p, q = d.numerator, d.denominator
-        g_cap = min(M // c.m, q // (2 * p) + 1)
-        for g in range(max(2, -(-m_star // c.m)), g_cap + 1):
-            add_event(g * c.m, dist=(Fraction(g * p, q), err + math.log2(g))
-                      if 2 * g * p <= q else None)
+        g_lo, g_hi = max(2, -(-m_star // c.m)), M // c.m
+        g_half = min(g_hi, q // (2 * p))
+        L = log2_ratio(p, q)
+        for g in range(g_lo, g_half + 1):
+            m = g * c.m
+            if m in events:
+                continue
+            lg = math.log2(g)
+            l2d, e = L + lg, err + lg
+            h = math.gcd(g, q)
+            num, den = (g * p // h, q // h) if h > 1 else (g * p, q)
+            l2thr = -psi.log2(m)
+            if _screen(m, l2d, l2thr, e, exact):
+                hit = l2d < l2thr
+            else:
+                try:
+                    hit = _compare_dist_threshold(num, den, e, psi, m)
+                except PrecisionExhausted:
+                    certified_to = min(certified_to, m - 1)
+                    continue
+            events[m] = ApproximationEvent(m, _coprime_fraction(num, den),
+                                           psi, hit)
+        if g_lo <= g_half + 1 <= g_hi:
+            add_event((g_half + 1) * c.m)
     # the fast region is complete only if the expansion reached past M
     if m_star <= M:
         certified_to = min(certified_to,

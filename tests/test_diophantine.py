@@ -824,6 +824,103 @@ def test_scan_events_are_pinned(theta, psi, M, digest):
     assert _scan_digest(res) == digest
 
 
+def _scan_oracle(theta, psi, M: int):
+    """approximability_scan as it was before its walk over the multiples
+    g q_k took one log2_ratio per convergent: each multiple builds
+    Fraction(g p, q) and is decided by _compare_dist_threshold.  Oracle for
+    the property below."""
+    target = math.log2(2 * M)
+    lo, hi = 0, M + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if psi.log2(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    m_star = hi
+    events = {}
+    certified_to = M
+
+    def add_event(m, is_conv=False, dist=None):
+        nonlocal certified_to
+        if m in events:
+            if is_conv and not events[m].is_convergent:
+                events[m] = events[m]._replace(is_convergent=True)
+            return
+        try:
+            d, err = dist or dio._resolve_distance(theta, m)
+            hit = dio._compare_dist_threshold(d.numerator, d.denominator,
+                                              err, psi, m)
+        except PrecisionExhausted:
+            certified_to = min(certified_to, m - 1)
+            return
+        events[m] = dio.ApproximationEvent(m, d, psi, hit, is_conv)
+
+    for m in range(1, min(m_star - 1, M) + 1):
+        add_event(m)
+    fast_from = m_star if m_star <= M else None
+    convs = dio._convergents_past(theta, M)
+    for c in convs:
+        if c.m > M:
+            break
+        try:
+            d, err = dio._resolve_distance(theta, c.m)
+        except PrecisionExhausted:
+            certified_to = min(certified_to, c.m - 1)
+            continue
+        add_event(c.m, True, (d, err))
+        if m_star > M:
+            continue
+        p, q = d.numerator, d.denominator
+        g_cap = min(M // c.m, q // (2 * p) + 1)
+        for g in range(max(2, -(-m_star // c.m)), g_cap + 1):
+            add_event(g * c.m, dist=(Fraction(g * p, q), err + math.log2(g))
+                      if 2 * g * p <= q else None)
+    if m_star <= M:
+        certified_to = min(certified_to,
+                           convs[-1].m if convs else m_star - 1)
+    evs = tuple(sorted(events.values(), key=lambda e: e.m))
+    return dio.ScanResult(events=evs, certified_to=certified_to,
+                          fast_path_from=fast_from)
+
+
+_WALK_THETAS = st.one_of(
+    st.integers(2, 300).filter(lambda d: math.isqrt(d) ** 2 != d)
+    .map(lambda d: f"surd:{d}"),
+    st.sampled_from(["golden", "taubeta:2/1:4"]),
+    # cf: literals, the last quotient also large: few events per convergent
+    st.lists(st.integers(1, 2**12), min_size=4, max_size=12)
+    .map(lambda qs: "cf:[0;" + ",".join(map(str, qs)) + "]"),
+    st.builds("jarnik:{}:{}".format,
+              st.sampled_from(["pow:2", "pow:3", "exp:2", "exp:3/2",
+                               "expexp"]),
+              st.integers(5, 8)))
+
+# the crossover m* stays at or below 2**12 at M = 2**17: every m below it
+# is scanned, the slow part of the oracle
+_WALK_PSIS = st.one_of(
+    st.sampled_from(["pow:3/2", "pow:2", "pow:5/2", "pow:3"]),
+    st.sampled_from(["exp:11/10", "exp:3/2", "exp:2", "exp:3"]),
+    st.sampled_from(["scale:1/3:exp:2", "scale:1000:pow:2",
+                     "scale:2:pow:3/2", "scale:1/2:exp:3/2"]),
+    st.sampled_from(["expexp", "scale:1/2:expexp", "scale:7:expexp"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_WALK_THETAS, _WALK_PSIS,
+       st.integers(0, 17).flatmap(lambda k: st.integers(2**k, 2**(k + 1) - 1)
+                                  if k < 17 else st.just(2**17)))
+@example("taubeta:2/1:4", "exp:3/2", 2**17)
+@example("jarnik:pow:2:6", "exp:11/10", 2**17)
+def test_scan_walk_matches_fraction_oracle(theta, psi, M):
+    th, ps = dio.theta_parse(theta), psi_parse(psi)
+    got = dio.approximability_scan(th, ps, M)
+    want = _scan_oracle(th, ps, M)
+    assert got.events == want.events
+    assert (got.certified_to, got.fast_path_from) == (
+        want.certified_to, want.fast_path_from)
+
+
 
 def _counting(monkeypatch, name):
     """Count the calls of PsiFunction.<name> (and of its aliases)."""

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import divcorr
-from divcorr.divisor import (_CHUNK, _GAUSS_BLOCK, _TONG_BLOCK,
-                             TWO_GAMMA_MINUS_1, DivisorTable, _gauss_blocks,
-                             delta, gauss8_pieces, mean_square, sieve_tau,
-                             summatory_D, summatory_D_many, tong_ratio_oracle)
+from divcorr.divisor import (_CHUNK, _GAUSS_BLOCK, _SIEVE_LIMIT_CAP,
+                             _TONG_BLOCK, TWO_GAMMA_MINUS_1, DivisorTable,
+                             _gauss_blocks, delta, gauss8_pieces,
+                             mean_square, sieve_tau, summatory_D,
+                             summatory_D_many, tong_ratio_oracle)
 from divcorr.errors import ResourceLimit
 
 
@@ -91,10 +92,9 @@ def test_sieve_2e6_bytes_are_pinned(big_table):
         "8f20759231a6072b7464c072fc5f6d05cba6740de4805c41272c4c81c36f273d")
 
 
-def test_cumulative_is_one_int64_table(big_table):
-    # D summed in place in its int64 copy of the counts: no second int64
-    # array for a cast (30.5 MB traced at this limit), also under a numpy
-    # that copied an aliased out= operand
+def test_cumulative_is_one_uint32_table(big_table):
+    # D summed in place in its uint32 copy of the counts: no second array
+    # for a cast, also under a numpy that copied an aliased out= operand
     fresh = DivisorTable(big_table.limit, big_table.counts)
     tracemalloc.start()
     try:
@@ -102,11 +102,19 @@ def test_cumulative_is_one_int64_table(big_table):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (big_table.limit + 1) + 2**16
-    want = np.cumsum(big_table.counts, dtype=np.int64)
+    assert peak <= 4 * (big_table.limit + 1) + 2**16
+    want = np.cumsum(big_table.counts, dtype=np.uint32)
     assert cd.dtype == want.dtype and cd.tobytes() == want.tobytes()
     assert not cd.flags.writeable
     assert fresh.cumulative() is cd
+
+
+def test_cumulative_dtype_holds_d_at_the_sieve_cap():
+    # cumulative() is uint32 because D(n) < 2**32 for every n the sieve
+    # accepts; a larger cap needs a wider dtype
+    assert summatory_D(_SIEVE_LIMIT_CAP) < 2**32
+    with pytest.raises(ResourceLimit):
+        sieve_tau(_SIEVE_LIMIT_CAP + 1)
 
 
 def hyperbola_loop(x: int) -> int:

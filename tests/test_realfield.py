@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divcorr.errors import PsiParseError
+from divcorr import diophantine as dio
+from divcorr.errors import PrecisionExhausted, PsiParseError
 from divcorr.realfield import (_fmt_int, fraction_to_mpf, gamma_const,
                                log2_fraction, log2_ratio, psi_parse,
                                to_fraction)
@@ -211,6 +212,48 @@ def test_log2_ratio_measured_error():
         with mpmath.workprec(256):
             err = abs(log2_ratio(a << ka, b << kb) - ref)
         worst = max(worst, float(err))
+    assert worst <= _LOG2_TOL
+
+
+def _walk_cases():
+    """(p, q, kq, [(g, exact log2(g p / q')), ...]) for q' = q << kq, with
+    2 g p <= q' as in the scan's walk over the multiples g q_k: synthetic
+    pairs out to |log2| near 2**30, then the resolved distances p/q of the
+    convergents of four thetas."""
+    for p, q in ((1, 3), (3, 2**53 - 1), (2**52 + 1, 2**61 - 1),
+                 (10**40 + 7, 3**200)):
+        for kq in (0, 60, 1000, 2**20 + 3, 2**24 + 77, 2**28 - 5,
+                   2**30 - 512):
+            # exact for kq >= 1000 too: 2 g p < 2**1000 there
+            yield p, q, kq, [
+                (g, _ref_log2(Fraction(g * p, q)) - kq)
+                for g in (2, 3, 1000, 2**20 + 1, 2**40 - 3, 2**52 + 1,
+                          2**53 - 1)
+                if 2 * g * p <= q << min(kq, 1000)]
+    for spec in ("taubeta:2/1:4", "golden", "surd:2", "jarnik:pow:2:6"):
+        theta = dio.theta_parse(spec)
+        for c in dio._convergents_past(theta, 2**24):
+            try:
+                d, _ = dio._resolve_distance(theta, c.m)
+            except PrecisionExhausted:  # the scan skips these too
+                continue
+            p, q = d.numerator, d.denominator
+            yield p, q, 0, [(g, _ref_log2(g * d))
+                            for g in {2, 3, q // (4 * p), q // (2 * p)}
+                            if 2 <= g <= q // (2 * p)]
+
+
+def test_walk_log2_measured_error():
+    # the scan's walk takes log2(g p / q) as log2_ratio(p, q) + log2(g),
+    # one log2_ratio per convergent; its screen needs 2**-20 while the value
+    # is at most 2**30 in magnitude.  One q' of 2**30 bits is alive at a time
+    worst = 0.0
+    for p, q, kq, refs in _walk_cases():
+        L = log2_ratio(p, q << kq)
+        for g, ref in refs:
+            assert abs(ref) <= 2**30
+            with mpmath.workprec(256):
+                worst = max(worst, float(abs(L + math.log2(g) - ref)))
     assert worst <= _LOG2_TOL
 
 
