@@ -92,8 +92,8 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
     straddle an integer, so the slice is the global sort's).  A piece's
     D(x) and D(theta x) indices follow from its global index too.  Each
     chunk is integrated by gauss8_pieces one Gauss block at a time, with
-    the kernel's own block bounds (so each piece's bits are those of one
-    call over the chunk), into one array of piece integrals, and reduced to
+    the bounds of _gauss_blocks (so each piece's bits are those of one call
+    over the chunk), into one array of piece integrals, and reduced to
     exact_sum of its pieces and, for each grid X inside it, exact_sum of
     its pieces before X (exact_prefix_sums: the exact sums of the segments
     between grid points are added as integers, so no piece is read twice).
@@ -171,9 +171,9 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
     def integrate(start, vals):
         n = len(vals) - 1
         offs = [i - start for i in grid_at if start < i < start + _CHUNK]
-        # one Gauss block at a time, with gauss8_pieces' own block bounds,
-        # so each block's call runs the gemv on the rows at the offsets
-        # that a call over the whole chunk would
+        # one Gauss block at a time, with _gauss_blocks' bounds, so each
+        # block's call runs the gemv on the rows at the offsets that a call
+        # over the whole chunk would
         piece = np.empty(n)
         for s, e in _gauss_blocks(n):
             left, right = vals[s:e], vals[s + 1:e + 1]

@@ -25,13 +25,13 @@ TWO_GAMMA_MINUS_1 = float(2 * gamma_const(256) - 1)
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 _SIEVE_LIMIT_CAP = 200_000_000
-#: summatory_D works in int64; summatory_D_many's rows are isqrt(x) wide.
+#: summatory_D works in int64.
 _SUMMATORY_X_CAP = 2**63 - 1
-_SUMMATORY_MANY_CAP = 2**44 - 1
 #: Entries per int64 block of the hyperbola sum (8 MB).
 _HYPERBOLA_BLOCK = 1 << 20
-#: Pieces per block of the Gauss-8 kernel (see _gauss_blocks): its
-#: node-major buffers hold 8 x 4096 doubles (256 KB) in a full block.
+#: Pieces per Gauss block (see _gauss_blocks), the unit in which callers
+#: hand pieces to gauss8_pieces: its node-major buffers then hold 8 x 4096
+#: doubles (256 KB).
 _GAUSS_BLOCK = 4096
 #: Terms per block of tong_ratio_oracle's series (512 KB per float64 array).
 _TONG_BLOCK = 1 << 16
@@ -121,38 +121,6 @@ def summatory_D(x: int) -> int:
     return 2 * s - r * r
 
 
-def summatory_D_many(xs: np.ndarray) -> np.ndarray:
-    """Vectorized hyperbola-identity D(x) for an int array (values >= 0).
-
-    Each x costs a row isqrt(max(xs)) wide, summed in int64, so
-    max(xs) >= 2^44 raises ResourceLimit before anything is allocated.
-    """
-    xs = np.asarray(xs, dtype=np.int64)
-    top = int(xs.max()) if len(xs) else 0
-    if top > _SUMMATORY_MANY_CAP:
-        raise ResourceLimit(
-            f"summatory_D_many: max x={top} exceeds cap {_SUMMATORY_MANY_CAP}",
-            suggested_cap=_SUMMATORY_MANY_CAP)
-    out = np.zeros(len(xs), dtype=np.int64)
-    pos = xs > 0
-    xv = xs[pos]
-    r = np.sqrt(xv.astype(np.float64)).astype(np.int64)
-    # fix rounding of the integer square root
-    r = np.where((r + 1) * (r + 1) <= xv, r + 1, r)
-    r = np.where(r * r > xv, r - 1, r)
-    kmax = int(r.max()) if len(r) else 0
-    acc = np.zeros(len(xv), dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(kmax, 1))
-    for start in range(0, len(xv), chunk):
-        stop = min(start + chunk, len(xv))
-        k = np.arange(1, kmax + 1, dtype=np.int64)
-        q = xv[start:stop, None] // k[None, :]
-        mask = k[None, :] <= r[start:stop, None]
-        acc[start:stop] = np.sum(np.where(mask, q, 0), axis=1)
-    out[pos] = 2 * acc - r * r
-    return out
-
-
 def _delta_at(d: np.ndarray, x: np.ndarray, out: np.ndarray,
               tmp: np.ndarray) -> np.ndarray:
     """Delta = (d - x log x) - C x into `out`, with C = TWO_GAMMA_MINUS_1, at
@@ -192,7 +160,16 @@ def _ordered_map(fn, items, threads: int) -> list:
 def _gauss_blocks(n: int) -> list[tuple[int, int]]:
     """Bounds (s, e) of the Gauss blocks of n pieces: _GAUSS_BLOCK pieces
     each, but the last takes the remainder too, so only a call with fewer
-    than _GAUSS_BLOCK pieces has a block shorter than that."""
+    than _GAUSS_BLOCK pieces has a block shorter than that.
+
+    mean_square and the correlation sweep hand gauss8_pieces one block of
+    each chunk at a time.  A BLAS gemv may round a row differently
+    depending on where the row sits in the matrix (its offset from the
+    kernel's unrolled groups, or a short tail): every block starts at a
+    multiple of _GAUSS_BLOCK and only the last one ends with the chunk's
+    tail, so each row is rounded as in a single gemv over the whole chunk,
+    and the output bits do not depend on the block size.
+    """
     k = n // _GAUSS_BLOCK or min(n, 1)
     return [(i * _GAUSS_BLOCK, n if i == k - 1 else (i + 1) * _GAUSS_BLOCK)
             for i in range(k)]
@@ -205,40 +182,26 @@ def gauss8_pieces(mid: np.ndarray, half: np.ndarray, d1: np.ndarray,
     [mid - half, mid + half] on which D(x) = d1 and D(theta x) = d2 are
     constant.  With d2 omitted the integrand is Delta(x)^2.
 
-    The pieces run one Gauss block (_gauss_blocks) at a time through
-    node-major buffers, (8, rows) with the nodes down axis 0, allocated once
-    per call and reused through out= ufuncs, so that each ufunc runs 8 flat
-    loops over the pieces rather than one 8-element loop per piece: x = mid
-    + half * node, Delta at x and at theta * x (_delta_at), and their
-    product, written through the transposed view of a C-contiguous
-    (rows, 8) buffer.  These operations are elementwise, so a piece's
-    integrand does not depend on its block.  The weighted sum over the
-    nodes is one gemv per block, `prod @ _GAUSS_WEIGHTS` into the block's
-    slice of the result, which is then scaled by half.  A BLAS gemv may
-    round a row differently depending on where the row sits in the matrix
-    (its offset from the kernel's unrolled groups, or a short tail): every
-    block starts at a multiple of _GAUSS_BLOCK and only the last one ends
-    with the call's tail, so each row is rounded as in a single gemv over
-    all n rows, and the result does not depend on the block size.
+    The integrand fills node-major (8, n) buffers, the nodes down axis 0,
+    reused through out= ufuncs, so that each ufunc runs 8 flat loops over
+    the pieces rather than one 8-element loop per piece: x = mid + half *
+    node, Delta at x and at theta * x (_delta_at), and their product,
+    written through the transposed view of a C-contiguous (n, 8) buffer.
+    The weighted sum over the nodes is one gemv, `prod @ _GAUSS_WEIGHTS`,
+    which is then scaled by half.  Its scratch is up to five buffers of
+    8 * n doubles, so callers pass one Gauss block (_gauss_blocks) at a time.
     """
-    n = len(mid)
-    blocks = _gauss_blocks(n)
-    rows = max((e - s for s, e in blocks), default=0)
-    result = np.empty(n)
-    prod = np.empty((rows, len(_GAUSS_NODES)))
-    shape = (len(_GAUSS_NODES), rows)
+    shape = (len(_GAUSS_NODES), len(mid))
     x, tmp, f1 = np.empty(shape), np.empty(shape), np.empty(shape)
     f2 = f1 if d2 is None else np.empty(shape)
-    nodes = _GAUSS_NODES[:, None]
-    for s, e in blocks:
-        xb, tb, f1b, f2b = (a[:, :e - s] for a in (x, tmp, f1, f2))
-        np.multiply(half[s:e], nodes, out=xb)
-        np.add(mid[s:e], xb, out=xb)
-        _delta_at(d1[s:e], xb, f1b, tb)
-        if d2 is not None:
-            _delta_at(d2[s:e], np.multiply(theta, xb, out=xb), f2b, tb)
-        np.multiply(f1b, f2b, out=prod[:e - s].T)
-        np.matmul(prod[:e - s], _GAUSS_WEIGHTS, out=result[s:e])
+    np.multiply(half, _GAUSS_NODES[:, None], out=x)
+    np.add(mid, x, out=x)
+    _delta_at(d1, x, f1, tmp)
+    if d2 is not None:
+        _delta_at(d2, np.multiply(theta, x, out=x), f2, tmp)
+    prod = np.empty(shape[::-1])
+    np.multiply(f1, f2, out=prod.T)
+    result = prod @ _GAUSS_WEIGHTS
     result *= half
     return result
 
