@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diophantine import (convergent_invariants, convergents, legendre_hits,
-                          nearest_distance, theta_parse)
+from .diophantine import (cf_expand, convergent_invariants, convergents,
+                          legendre_hits, nearest_distance, theta_parse)
 from .divisor import mean_square, sieve_tau, tong_ratio_oracle
 from .voronoi import SpectralParams, lambda_kernel, osc_integral, spectral_j
 
@@ -57,7 +57,7 @@ def legendre_suite(seed: int) -> list[Check]:
     for spec in ("surd:2", "surd:3", "golden"):
         theta = theta_parse(spec)
         hits = legendre_hits(theta, M)
-        convs = [c for c in convergents(theta.continued_fraction(60))
+        convs = [c for c in convergents(cf_expand(theta, 60))
                  if c.m <= M]
         dens = sorted({c.m for c in convs})
         checks.append(_holds(f"legendre criterion {spec}: hits are convergent "

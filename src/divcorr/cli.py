@@ -18,7 +18,7 @@ from .checks import SUITES
 from .correlation import (CSV_HEADER, compare_spectral, correlate_grid,
                           fit_exponent, result_csv_row, results_json)
 from .diophantine import (ContinuedFraction, JarnikTheta, TauBetaTheta, Theta,
-                          convergent_invariants, convergents,
+                          cf_expand, convergent_invariants, convergents,
                           nearest_distance, theta_parse)
 from .divisor import delta, sieve_tau
 from .errors import (ConstructionInfeasible, PrecisionExhausted, PsiParseError,
@@ -141,15 +141,11 @@ def cmd_cf(cfg: RunConfig, args) -> int:
     if not args.theta:
         raise ValueError("cf needs --theta or --construct")
     theta = theta_parse(args.theta)
-    if theta.is_rational:
-        raise ValueError("cf requires an irrational theta "
-                         f"(got {theta.spec}); rationals are only legal for "
-                         "the correlation integral")
     K = args.terms - 1
     if K < 0:
         raise ValueError("--terms must be >= 1")
     try:
-        cf = theta.continued_fraction(K)
+        cf = cf_expand(theta, K)
     except PrecisionExhausted as e:
         _emit(f"# note: {e}")
         if e.partial is None:
@@ -170,9 +166,25 @@ def cmd_cf(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _psi_arg(text: str | None, X: float):
+    """The --psi function, or None without one.  Raises before any work or
+    output unless psi^{-1}(X^{1/4}), which the psi columns read at X and
+    above, is defined: X >= psi(1)^4."""
+    if not text:
+        return None
+    psi = psi_parse(text)
+    try:
+        psi.inverse(X ** 0.25)
+    except ValueError:
+        raise ValueError(f"--psi {text} needs X >= psi(1)^4 = "
+                         f"{_fmt(float(psi.eval(1) ** 4))}, got X = {_fmt(X)}"
+                         ) from None
+    return psi
+
+
 def cmd_correlate(cfg: RunConfig, args) -> int:
     theta = theta_parse(args.theta)
-    psi = psi_parse(args.psi) if args.psi else None
+    psi = _psi_arg(args.psi, args.xmin)
     results = correlate_grid(theta, args.xmin, args.xmax, args.points,
                              threads=cfg.threads)
     fit = fit_exponent(results) if args.fit else None
@@ -212,8 +224,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
+    psi = _psi_arg(args.psi, args.x)
     _emit(cfg.header("compare"))
-    psi = psi_parse(args.psi) if args.psi else None
     cmp = compare_spectral(args.theta, args.x, psi=psi, threads=cfg.threads,
                            N=args.n, T=args.t)
     _emit("X,N,T,I_exact,J_total,D_lower,D_upper,discrepancy,disc_over_X118")

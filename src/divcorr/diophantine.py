@@ -46,22 +46,6 @@ _SCREEN_M_MAX = 2 ** 53
 _SCREEN_LOG2_MAX = 2.0 ** 30
 
 
-def fibonacci(k: int) -> int:
-    """F_k with F_1 = F_2 = 1, by fast doubling (exact)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-
-    def fd(n):
-        if n == 0:
-            return 0, 1
-        a, b = fd(n >> 1)
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        return (d, c + d) if n & 1 else (c, d)
-
-    return fd(k)[0]
-
-
 # ---------------------------------------------------------------------------
 # Continued fractions and convergents
 # ---------------------------------------------------------------------------
@@ -179,11 +163,15 @@ def _escalating_enclosures(theta: Theta, bits: int):
 def _cf_from_enclosure(enc: Enclosure, K: int) -> ContinuedFraction:
     """Expand theta = [a0; a1, ...] from an enclosure, certifying each floor.
 
+    Euclid's algorithm on the anchor's coprime pair p/q: with
+    p = a q + r, the fractional part is r/q and its gap to the next integer
+    (q - r)/q, both already in lowest terms, and the next anchor is q/r.
     Raises PrecisionExhausted (carrying the certified prefix) as soon as the
     enclosure can no longer pin a quotient.
     """
     qs = []
-    a, w, side = enc.anchor, enc.log2_err, enc.side
+    p, q = enc.anchor.numerator, enc.anchor.denominator
+    w, side = enc.log2_err, enc.side
 
     def bail(msg):
         raise PrecisionExhausted(
@@ -192,29 +180,25 @@ def _cf_from_enclosure(enc: Enclosure, K: int) -> ContinuedFraction:
             partial=ContinuedFraction(tuple(qs)) if qs else None)
 
     for k in range(K + 1):
-        fl = a.numerator // a.denominator
-        frac = a - fl
+        fl, r = divmod(p, q)
         if w != -_INF:
-            if side >= 0:
-                gap_hi = 1 - frac
-                if w + 2 >= log2_fraction(gap_hi):
-                    bail("enclosure straddles the next integer")
-            if side <= 0:
-                if frac == 0 or w + 2 >= log2_fraction(frac):
-                    bail("enclosure straddles an integer from below")
+            if side >= 0 and w + 2 >= log2_ratio(q - r, q):
+                bail("enclosure straddles the next integer")
+            if side <= 0 and (r == 0 or w + 2 >= log2_ratio(r, q)):
+                bail("enclosure straddles an integer from below")
         qs.append(fl)
         if k == K:
             break
-        if frac == 0:
+        if r == 0:
             # the anchor's expansion ends here (rational anchor); the true
             # value continues with a quotient we cannot pin
             bail("anchor expansion terminated (rational anchor)")
         if w != -_INF:
-            l2f = log2_fraction(frac)
+            l2f = log2_ratio(r, q)
             if w + 2 >= l2f:
                 bail("error radius reached the fractional part")
             w = w - 2 * l2f + 1
-        a = 1 / frac
+        p, q = q, r
         side = -side
     return ContinuedFraction(tuple(qs))
 
@@ -648,9 +632,9 @@ def _convergents_past(theta: Theta, M: int) -> list[Convergent]:
     F_{K+1} > M, so that q_K > M (q_K >= F_{K+1}).  When theta's data
     certifies fewer quotients, the certified prefix, which the last
     enclosure fixes whatever K is; [] when it certifies none."""
-    K = 1
-    while fibonacci(K + 1) <= M:
-        K += 1
+    K, f, g = 1, 1, 2  # f = F_{K+1}, g = F_{K+2}
+    while f <= M:
+        K, f, g = K + 1, g, f + g
     try:
         cf = cf_expand(theta, K)
     except PrecisionExhausted as e:
@@ -1032,10 +1016,13 @@ def convergent_invariants(theta: Theta, K: int) -> InvariantReport:
             sand_ok &= sg[1:] in ((1, -1, -1, -1), (1, 1, 1, -1))
             sand_checked += 1
 
-    fib_ok = all(convs[k].m >= fibonacci(k + 1) for k in range(len(convs)))
+    fib_ok = equal_everywhere = True
+    f, g = 1, 1  # F_{k+1}, F_{k+2} at k = 0
+    for c in convs:
+        fib_ok &= c.m >= f
+        equal_everywhere &= c.m == f
+        f, g = g, f + g
     all_ones = all(a == 1 for a in cf.quotients[1:])
-    equal_everywhere = all(convs[k].m == fibonacci(k + 1)
-                           for k in range(len(convs)))
     fib_equality_consistent = (equal_everywhere == all_ones)
 
     return InvariantReport(K=len(convs) - 1, determinant_ok=det_ok,

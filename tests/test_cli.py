@@ -54,7 +54,7 @@ def test_cf_surd(capsys):
 def test_cf_rejects_rational(capsys):
     code, _, err = run(capsys, "cf", "--theta", "rat:22/7")
     assert code == 2
-    assert "irrational" in err
+    assert "cf_expand requires an irrational theta, got rat:22/7" in err
 
 
 def test_cf_construct_taubeta(capsys):
@@ -206,6 +206,21 @@ def test_compare_runs(capsys):
     code, out, _ = run(capsys, "compare", "--theta", "surd:2", "--x", "100")
     assert code == 0
     assert "disc_over_X118" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("correlate", "--theta", "surd:2", "--psi", "exp:3", "--xmin", "10",
+     "--xmax", "1e4", "--points", "4"),
+    ("compare", "--theta", "surd:2", "--psi", "exp:3", "--x", "10"),
+    ("--format", "json", "correlate", "--theta", "surd:2", "--psi", "exp:3",
+     "--xmin", "10", "--xmax", "1e4", "--points", "4"),
+], ids=["correlate", "compare", "correlate-json"])
+def test_psi_below_its_domain_prints_nothing(capsys, argv):
+    # psi^{-1}(X^{1/4}) needs X >= psi(1)^4 = 3^4: the command stops before
+    # the sweep and the header, and names the least admissible X
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--psi exp:3 needs X >= psi(1)^4 = 81, got X = 10" in err
 
 
 def test_verify_lambda(capsys):

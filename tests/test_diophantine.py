@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -27,6 +28,14 @@ def surd_cf_oracle(d: int, K: int):
             out.append(a)
             x = 1 / (x - a)
         return out
+
+
+def fib(k: int) -> int:
+    """F_k with F_1 = F_2 = 1, by iteration (exact)."""
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
 
 
 # --- expansion and convergents ----------------------------------------------
@@ -69,6 +78,113 @@ def test_cf_expand_rational_degenerates():
     assert ei.value.last_certified is not None
 
 
+def _cf_from_enclosure_oracle(enc, K):
+    """The expansion in Fraction arithmetic that the Euclid loop on the
+    anchor's integer pair replaced, kept as its reference."""
+    qs = []
+    a, w, side = enc.anchor, enc.log2_err, enc.side
+
+    def bail(msg):
+        raise PrecisionExhausted(
+            f"{msg} after {len(qs)} certified quotients",
+            last_certified=len(qs) - 1,
+            partial=dio.ContinuedFraction(tuple(qs)) if qs else None)
+
+    for k in range(K + 1):
+        fl = a.numerator // a.denominator
+        frac = a - fl
+        if w != -math.inf:
+            if side >= 0:
+                gap_hi = 1 - frac
+                if w + 2 >= log2_fraction(gap_hi):
+                    bail("enclosure straddles the next integer")
+            if side <= 0:
+                if frac == 0 or w + 2 >= log2_fraction(frac):
+                    bail("enclosure straddles an integer from below")
+        qs.append(fl)
+        if k == K:
+            break
+        if frac == 0:
+            bail("anchor expansion terminated (rational anchor)")
+        if w != -math.inf:
+            l2f = log2_fraction(frac)
+            if w + 2 >= l2f:
+                bail("error radius reached the fractional part")
+            w = w - 2 * l2f + 1
+        a = 1 / frac
+        side = -side
+    return dio.ContinuedFraction(tuple(qs))
+
+
+def _expansion_outcome(expand, enc, K):
+    """The quotients, or the message, last_certified and partial of the
+    PrecisionExhausted raised."""
+    try:
+        return expand(enc, K).quotients
+    except PrecisionExhausted as e:
+        return str(e), e.last_certified, e.partial
+
+
+@st.composite
+def _anchors(draw):
+    """Anchors with denominators of 1 to 70000 bits (Fraction reduces them
+    to coprime pairs): a random pair, or a random continued fraction with
+    quotients up to 2^64 moved by 0 or +-2^-bits, which gives the huge
+    quotients of a Liouville-type anchor."""
+    # sizes and digits from a seeded Random: st.integers favours small values
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    bits = rnd.randint(1, 64) if draw(st.booleans()) else rnd.randint(65, 70000)
+    if draw(st.booleans()):
+        q = rnd.getrandbits(bits) | 1 << (bits - 1)
+        return Fraction(rnd.randrange(-4 * q, 4 * q), q)
+    x = Fraction(0)
+    for a in draw(st.lists(st.integers(1, 2**64), max_size=12)):
+        x = 1 / (a + x)
+    return (x + draw(st.integers(-3, 3))
+            + Fraction(draw(st.sampled_from((-1, 0, 1))), 2**bits))
+
+
+#: one enclosure reaching each of the four bail points, with the number of
+#: quotients certified before it
+_CF_BAILS = [
+    (dio.Enclosure(Fraction(29, 10), -1.0, 1), 3,
+     "enclosure straddles the next integer", 0),
+    (dio.Enclosure(Fraction(301, 100), -3.0, -1), 3,
+     "enclosure straddles an integer from below", 0),
+    (dio.Enclosure(Fraction(7, 2), -math.inf, 0), 5,
+     "anchor expansion terminated (rational anchor)", 2),
+    (dio.Enclosure(3 + Fraction(1, 2**40), -30.0, 1), 3,
+     "error radius reached the fractional part", 1),
+]
+
+
+@pytest.mark.parametrize("enc,K,msg,n", _CF_BAILS,
+                         ids=[m.split()[-1] for _, _, m, _ in _CF_BAILS])
+def test_cf_from_enclosure_bail_points(enc, K, msg, n):
+    got = _expansion_outcome(dio._cf_from_enclosure, enc, K)
+    assert got[:2] == (f"{msg} after {n} certified quotients", n - 1)
+    assert got == _expansion_outcome(_cf_from_enclosure_oracle, enc, K)
+
+
+def test_cf_from_enclosure_matches_oracle_on_deepest_tau_beta():
+    # taubeta:2/1:4's final enclosure: a 65537-bit denominator, side +1 and
+    # a radius of -inf
+    enc = dio.theta_parse("taubeta:2/1:4").best_enclosure(1 << 24)
+    assert (_expansion_outcome(dio._cf_from_enclosure, enc, 40)
+            == _expansion_outcome(_cf_from_enclosure_oracle, enc, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_anchors(), st.one_of(st.just(-math.inf), st.floats(-300, 0)),
+       st.sampled_from((-1, 0, 1)), st.integers(0, 40))
+def test_cf_from_enclosure_matches_fraction_oracle(anchor, log2_err, side,
+                                                   K):
+    # same quotients, or the same message, last_certified and partial
+    enc = dio.Enclosure(anchor, log2_err, side)
+    assert (_expansion_outcome(dio._cf_from_enclosure, enc, K)
+            == _expansion_outcome(_cf_from_enclosure_oracle, enc, K))
+
+
 def test_convergents_sqrt2_prefix():
     cf = dio.cf_expand_surd(2, 4)
     convs = dio.convergents(cf)
@@ -80,7 +196,7 @@ def test_golden_denominators_are_fibonacci():
     cf = dio.theta_parse("golden").continued_fraction(25)
     convs = dio.convergents(cf)
     for c in convs:
-        assert c.m == dio.fibonacci(c.k + 1)
+        assert c.m == fib(c.k + 1)
 
 
 def test_determinant_identity_exact():
@@ -101,16 +217,7 @@ def test_determinant_identity_random_cf(quots, a0):
     for k in range(1, len(convs)):
         det = convs[k].n * convs[k - 1].m - convs[k - 1].n * convs[k].m
         assert det == (-1) ** (k - 1)
-        assert convs[k].m >= dio.fibonacci(k + 1)
-
-
-def test_binet_matches_exact():
-    # Binet's closed form (phi^k - (-phi)^-k) / sqrt(5), rounded, is exact
-    # in doubles this far
-    phi = (1 + math.sqrt(5)) / 2
-    for k in range(1, 60):
-        binet = (phi**k - (-phi) ** (-k)) / math.sqrt(5)
-        assert round(binet) == dio.fibonacci(k)
+        assert convs[k].m >= fib(k + 1)
 
 
 # --- invariants bundle -------------------------------------------------------
@@ -569,9 +676,8 @@ def test_legendre_hits_short_literal_last_certified(data):
 
 def test_legendre_hits_at_2_32():
     M = 2**32
-    fib = sorted({dio.fibonacci(k) for k in range(1, 60)
-                  if dio.fibonacci(k) <= M})
-    assert dio.legendre_hits(dio.GoldenTheta(), M) == fib
+    fibs = sorted({fib(k) for k in range(1, 60) if fib(k) <= M})
+    assert dio.legendre_hits(dio.GoldenTheta(), M) == fibs
     dens = [1, 2]
     while 2 * dens[-1] + dens[-2] <= M:
         dens.append(2 * dens[-1] + dens[-2])
