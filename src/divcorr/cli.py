@@ -101,9 +101,12 @@ def _psi_target(psi, m: int, m_next: int) -> tuple[float, bool]:
 
 
 def cmd_cf(cfg: RunConfig, args) -> int:
-    _emit(cfg.header("cf"))
     if args.construct:
         theta = theta_parse(args.construct)
+        if not isinstance(theta, (TauBetaTheta, JarnikTheta)):
+            raise ValueError(
+                f"unknown constructor {theta.spec!r} (taubeta/jarnik)")
+        _emit(cfg.header("cf"))
         if isinstance(theta, TauBetaTheta):
             d = theta.depth  # the table's depth-term sum, not float(theta)
             value = fraction_to_mpf(theta.partial_sum(d), cfg.precision_bits)
@@ -114,43 +117,42 @@ def cmd_cf(cfg: RunConfig, args) -> int:
             for i in range(1, d + 1):
                 _emit(f"{i},{theta.tower(i)}")
             return EXIT_OK
-        if isinstance(theta, JarnikTheta):
-            if theta.truncated is not None:
-                _emit(f"# note: {theta.truncated}")
-            psi, cf = theta.psi, theta.cf
-            _print_cf_table(theta, cf)
-            # a-posteriori approximability of the constructed convergents:
-            # ||m_k theta|| < 1/m_{k+1} <= 1/psi(m_k) for k >= 2
-            _emit("k,m_k,log2_m_next,log2_psi_mk,target_met")
-            convs = convergents(cf)
-            for k in range(2, len(convs)):
-                if k + 1 < len(convs):
-                    l2n = math.log2(convs[k + 1].m)
-                    l2p, met = _psi_target(psi, convs[k].m, convs[k + 1].m)
-                else:
-                    # m_{k+1} is unbuilt: the construction makes it at least
-                    # max(psi(m_k), m_k), so the target holds by construction
-                    l2p = psi.log2(convs[k].m)
-                    l2n = max(l2p, math.log2(convs[k].m))
-                    met = True
-                _emit(f"{k},{_fmt_int(convs[k].m)},{_fmt(l2n)},{_fmt(l2p)},"
-                      f"{met}")
-            return EXIT_OK
-        raise ValueError(f"unknown constructor {theta.spec!r} (taubeta/jarnik)")
+        if theta.truncated is not None:
+            _emit(f"# note: {theta.truncated}")
+        psi, cf = theta.psi, theta.cf
+        _print_cf_table(theta, cf)
+        # a-posteriori approximability of the constructed convergents:
+        # ||m_k theta|| < 1/m_{k+1} <= 1/psi(m_k) for k >= 2
+        _emit("k,m_k,log2_m_next,log2_psi_mk,target_met")
+        convs = convergents(cf)
+        for k in range(2, len(convs)):
+            if k + 1 < len(convs):
+                l2n = math.log2(convs[k + 1].m)
+                l2p, met = _psi_target(psi, convs[k].m, convs[k + 1].m)
+            else:
+                # m_{k+1} is unbuilt: the construction makes it at least
+                # max(psi(m_k), m_k), so the target holds by construction
+                l2p = psi.log2(convs[k].m)
+                l2n = max(l2p, math.log2(convs[k].m))
+                met = True
+            _emit(f"{k},{_fmt_int(convs[k].m)},{_fmt(l2n)},{_fmt(l2p)},"
+                  f"{met}")
+        return EXIT_OK
 
     if not args.theta:
         raise ValueError("cf needs --theta or --construct")
     theta = theta_parse(args.theta)
-    K = args.terms - 1
-    if K < 0:
+    if args.terms < 1:
         raise ValueError("--terms must be >= 1")
     try:
-        cf = cf_expand(theta, K)
+        cf, note = cf_expand(theta, args.terms - 1), None
     except PrecisionExhausted as e:
-        _emit(f"# note: {e}")
-        if e.partial is None:
+        cf, note = e.partial, e
+    _emit(cfg.header("cf"))
+    if note is not None:
+        _emit(f"# note: {note}")
+        if cf is None:
             return EXIT_PRECISION
-        cf = e.partial
     _print_cf_table(theta, cf)
     rep = convergent_invariants(theta, len(cf) - 1)
     _emit("invariant,ok")
@@ -224,9 +226,10 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
+    theta = theta_parse(args.theta)
     psi = _psi_arg(args.psi, args.x)
     _emit(cfg.header("compare"))
-    cmp = compare_spectral(args.theta, args.x, psi=psi, threads=cfg.threads,
+    cmp = compare_spectral(theta, args.x, psi=psi, threads=cfg.threads,
                            N=args.n, T=args.t)
     _emit("X,N,T,I_exact,J_total,D_lower,D_upper,discrepancy,disc_over_X118")
     p = cmp.report.params

@@ -17,7 +17,7 @@ import numpy as np
 
 from .diophantine import Theta, theta_parse
 from .divisor import (_CHUNK, DivisorTable, _gauss_blocks, _ordered_map,
-                      gauss8_pieces, sieve_tau)
+                      gauss8_pieces, gauss8_workspace, sieve_tau)
 from .errors import ResourceLimit
 from .exactsum import exact_prefix_sums
 from .realfield import PsiFunction, _fmt
@@ -102,8 +102,9 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
     chunk sums plus that partial sum.  Memory is O(threads * _CHUNK)
     besides the table: a chunk in flight holds its breakpoint window and
     its piece integrals, two float64 arrays of about _CHUNK, plus one Gauss
-    block's arrays and gauss8_pieces' five block buffers (6.4 MB traced for
-    the whole sweep to X = 4e6 at one thread, 14.3 MB at two).  The output
+    block's arrays and the chunk's gauss8_workspace, four buffers of its
+    longest block, which is freed before the exact sums (6.4 MB traced for
+    the whole sweep to X = 4e6 at one thread, 14.7 MB at two).  The output
     bits do not depend on `threads` (with more than one chunk,
     _ordered_map runs the chunks on `threads` workers).
     """
@@ -175,7 +176,9 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
         # block's call runs the gemv on the rows at the offsets that a call
         # over the whole chunk would
         piece = np.empty(n)
-        for s, e in _gauss_blocks(n):
+        blocks = _gauss_blocks(n)
+        work = gauss8_workspace(blocks)
+        for s, e in blocks:
             left, right = vals[s:e], vals[s + 1:e + 1]
             width = right - left
             # D(x) index: min(floor(left), floor(Xmax)), which is 1 plus
@@ -195,8 +198,10 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
                     idx[off - s:] -= 1
             out = piece[s:e]
             out[...] = gauss8_pieces(0.5 * (left + right), 0.5 * width, d1,
-                                     cd[idx].astype(np.float64), th)
+                                     cd[idx].astype(np.float64), th,
+                                     work=work)
             out[~(width > _MERGE_TOL)] = 0.0
+        del work  # before the exact sums' own temporaries
         sums = exact_prefix_sums(piece, offs + [n])
         return sums[-1], {start + off: p for off, p in zip(offs, sums)}
 

@@ -24,10 +24,17 @@ TWO_GAMMA_MINUS_1 = float(2 * gamma_const(256) - 1)
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
+#: sieve_tau counts in uint16: tau(n) <= 2 sqrt(n) < 2^16 below the cap.
 _SIEVE_LIMIT_CAP = 200_000_000
+#: Past n = _SIEVE_K^2 the divisor pairs (k, n/k) with k <= _SIEVE_K count
+#: the same at n and n + lcm(1, ..., _SIEVE_K) = n + 27720.
+_SIEVE_K = 12
 #: summatory_D works in int64.
 _SUMMATORY_X_CAP = 2**63 - 1
-#: Entries per int64 block of the hyperbola sum (8 MB).
+#: Below this x, float64 division gives floor(x/k) exactly, and integers up
+#: to it add exactly in float64.
+_FLOAT_EXACT = 2**53
+#: Entries per block of the hyperbola sum (8 MB).
 _HYPERBOLA_BLOCK = 1 << 20
 #: Pieces per Gauss block (see _gauss_blocks), the unit in which callers
 #: hand pieces to gauss8_pieces: its node-major buffers then hold 8 x 4096
@@ -68,13 +75,25 @@ class DivisorTable:
         return self._cumulative[0]
 
 
+def _add_pairs(counts: np.ndarray, ks) -> None:
+    """Count the divisor pairs (k, n/k) with k <= n/k for each k in ks:
+    2 at every multiple n >= k^2 of k, less 1 at n = k^2."""
+    for k in ks:
+        counts[k * k::k] += 2
+        counts[k * k] -= 1
+
+
 def sieve_tau(limit: int) -> DivisorTable:
     """Divisor-count sieve up to `limit`.
 
-    Counts each divisor pair (k, n/k) with k <= n/k once: for every
-    k <= isqrt(limit), 2 for each multiple n >= k^2 of k, less 1 at n = k^2
-    where the pair is one divisor.  That is isqrt(limit) strided numpy
-    updates touching about (limit/2) ln(limit) entries in all.
+    Counts each divisor pair (k, n/k) with k <= n/k once (_add_pairs), in
+    uint16: no count passes 2 isqrt(_SIEVE_LIMIT_CAP) + 1 < 2^16.  For
+    n > 144 the pairs with k <= _SIEVE_K = 12 add 2 for each such k | n, a
+    pattern of period lcm(1..12) = 27720 that one np.resize lays down; the
+    entries n <= 144 are then counted exactly, and isqrt(limit) - 12
+    strided updates add the pairs with k >= 13, touching about
+    limit (ln(limit)/2 - 3) entries in all.  One cast makes the int32
+    table.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -82,10 +101,15 @@ def sieve_tau(limit: int) -> DivisorTable:
         raise ResourceLimit(
             f"sieve limit {limit} exceeds cap {_SIEVE_LIMIT_CAP}",
             suggested_cap=_SIEVE_LIMIT_CAP)
-    counts = np.zeros(limit + 1, dtype=np.int32)
-    for k in range(1, math.isqrt(limit) + 1):
-        counts[k * k::k] += 2
-        counts[k * k] -= 1
+    period = np.zeros(math.lcm(*range(1, _SIEVE_K + 1)), dtype=np.uint16)
+    for k in range(1, _SIEVE_K + 1):
+        period[::k] += 2
+    counts = np.resize(period, limit + 1)
+    head = counts[:_SIEVE_K**2 + 1]
+    head[:] = 0
+    _add_pairs(head, range(1, math.isqrt(len(head) - 1) + 1))
+    _add_pairs(counts, range(_SIEVE_K + 1, math.isqrt(limit) + 1))
+    counts = counts.astype(np.int32)
     counts.flags.writeable = False
     return DivisorTable(limit=limit, counts=counts)
 
@@ -95,13 +119,16 @@ def summatory_D(x: int) -> int:
 
         D(x) = 2 * sum_{k <= r} floor(x/k) - r^2,   r = isqrt(x).
 
-    The sum runs over int64 numpy blocks k0 <= k < k0 + len, with
-    len * (x // k0) <= 2^62 so that no block sum overflows (len >= 1), and
-    len <= 2^20 (8 MB); the block sums add up as Python ints.  Below
-    x = 2^42 every block but the last has 2^20 terms, so the O(sqrt x)
-    divisions take about sqrt(x) / 2^20 numpy calls; above it the first
-    blocks are shorter and grow with k0.  x >= 2^63 does not fit int64 and
-    raises ResourceLimit.
+    The sum runs over numpy blocks k0 <= k < k0 + len of at most 2^20
+    terms (8 MB), whose sums add up as Python ints.  Below x = 2^53 the
+    blocks are float64: floor(x/k) is the floor of the correctly rounded
+    x/k, because a k that does not divide x leaves x/k at least 1/k from
+    an integer, more than half an ulp of x/k < 2^53 / k; and with
+    len * (x // k0) <= 2^53 every partial sum of a block is an integer
+    that float64 holds exactly.  From 2^53 on they are int64, with
+    len * (x // k0) <= 2^62 so that no block sum overflows.  Either way
+    the first blocks are shorter for large x and grow with k0 (len >= 1).
+    x >= 2^63 does not fit int64 and raises ResourceLimit.
     """
     x = int(x)
     if x < 0:
@@ -110,13 +137,20 @@ def summatory_D(x: int) -> int:
         raise ResourceLimit(
             f"summatory_D: x={x} exceeds cap {_SUMMATORY_X_CAP}",
             suggested_cap=_SUMMATORY_X_CAP)
+    in_float = x < _FLOAT_EXACT
+    bound = _FLOAT_EXACT if in_float else 1 << 62
     r = math.isqrt(x)
     s = 0
     k0 = 1
     while k0 <= r:
-        n = min(max(1, (1 << 62) // (x // k0)), _HYPERBOLA_BLOCK, r - k0 + 1)
-        k = np.arange(k0, k0 + n, dtype=np.int64)
-        s += int(np.floor_divide(x, k, out=k).sum())
+        n = min(max(1, bound // (x // k0)), _HYPERBOLA_BLOCK, r - k0 + 1)
+        if in_float:
+            k = np.arange(k0, k0 + n, dtype=np.float64)
+            np.floor(np.divide(float(x), k, out=k), out=k)
+        else:
+            k = np.arange(k0, k0 + n, dtype=np.int64)
+            np.floor_divide(x, k, out=k)
+        s += int(k.sum())
         k0 += n
     return 2 * s - r * r
 
@@ -175,9 +209,15 @@ def _gauss_blocks(n: int) -> list[tuple[int, int]]:
             for i in range(k)]
 
 
+def gauss8_workspace(blocks: list[tuple[int, int]]) -> list[np.ndarray]:
+    """gauss8_pieces' four buffers, sized for the longest of `blocks`."""
+    w = max(e - s for s, e in blocks)
+    return [np.empty(len(_GAUSS_NODES) * w) for _ in range(4)]
+
+
 def gauss8_pieces(mid: np.ndarray, half: np.ndarray, d1: np.ndarray,
                   d2: np.ndarray | None = None,
-                  theta: float = 1.0) -> np.ndarray:
+                  theta: float = 1.0, work=None) -> np.ndarray:
     """8-point Gauss integral of Delta(x) Delta(theta x) over each piece
     [mid - half, mid + half] on which D(x) = d1 and D(theta x) = d2 are
     constant.  With d2 omitted the integrand is Delta(x)^2.
@@ -186,21 +226,31 @@ def gauss8_pieces(mid: np.ndarray, half: np.ndarray, d1: np.ndarray,
     reused through out= ufuncs, so that each ufunc runs 8 flat loops over
     the pieces rather than one 8-element loop per piece: x = mid + half *
     node, Delta at x and at theta * x (_delta_at), and their product,
-    written through the transposed view of a C-contiguous (n, 8) buffer.
-    The weighted sum over the nodes is one gemv, `prod @ _GAUSS_WEIGHTS`,
-    which is then scaled by half.  Its scratch is up to five buffers of
-    8 * n doubles, so callers pass one Gauss block (_gauss_blocks) at a time.
+    written contiguously and then copied once, transposed, into x's freed
+    buffer viewed as a C-contiguous (n, 8) matrix.  The weighted sum over
+    the nodes is one gemv, `prod @ _GAUSS_WEIGHTS`, which is then scaled by
+    half.  Its scratch is four buffers of 8 * n doubles, so callers pass
+    one Gauss block (_gauss_blocks) at a time.
+
+    work is an optional list of four flat float64 arrays of at least 8 * n
+    entries (gauss8_workspace) that hold those buffers; the fourth is read
+    only with d2.  A caller passes one per chunk, so that its blocks
+    allocate no large arrays; the output bits do not depend on it.
     """
-    shape = (len(_GAUSS_NODES), len(mid))
-    x, tmp, f1 = np.empty(shape), np.empty(shape), np.empty(shape)
-    f2 = f1 if d2 is None else np.empty(shape)
+    n = len(mid)
+    if work is None:
+        work = gauss8_workspace([(0, n)])
+    x, tmp, f1, f2 = (w[:8 * n].reshape(8, n) for w in work)
     np.multiply(half, _GAUSS_NODES[:, None], out=x)
     np.add(mid, x, out=x)
     _delta_at(d1, x, f1, tmp)
-    if d2 is not None:
+    if d2 is None:
+        f2 = f1
+    else:
         _delta_at(d2, np.multiply(theta, x, out=x), f2, tmp)
-    prod = np.empty(shape[::-1])
-    np.multiply(f1, f2, out=prod.T)
+    np.multiply(f1, f2, out=tmp)
+    prod = work[0][:8 * n].reshape(n, 8)
+    prod[...] = tmp.T
     result = prod @ _GAUSS_WEIGHTS
     result *= half
     return result
@@ -252,11 +302,14 @@ def mean_square(X: float, table: DivisorTable | None = None) -> float:
     end = math.ceil(X)
 
     def pieces(lo, hi):
-        for s, e in _gauss_blocks(hi - lo):
+        blocks = _gauss_blocks(hi - lo)
+        work = gauss8_workspace(blocks)
+        for s, e in blocks:
             left = np.arange(lo + s, lo + e, dtype=np.float64)
             right = np.minimum(left + 1, X)
             yield gauss8_pieces(0.5 * (left + right), 0.5 * (right - left),
-                                cd[lo + s:lo + e].astype(np.float64))
+                                cd[lo + s:lo + e].astype(np.float64),
+                                work=work)
 
     return math.fsum(
         exact_block_sum(partial(pieces, lo, min(lo + _CHUNK, end)))

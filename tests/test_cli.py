@@ -223,6 +223,22 @@ def test_psi_below_its_domain_prints_nothing(capsys, argv):
     assert "--psi exp:3 needs X >= psi(1)^4 = 81, got X = 10" in err
 
 
+@pytest.mark.parametrize("argv, msg", [
+    (("cf", "--theta", "rat:22/7"),
+     "cf_expand requires an irrational theta, got rat:22/7"),
+    (("cf", "--theta", "surd:2", "--terms", "0"), "--terms must be >= 1"),
+    (("cf", "--construct", "surd:2"), "unknown constructor 'surd:2'"),
+    (("compare", "--theta", "bogus", "--x", "10"),
+     "unknown theta spec 'bogus'"),
+], ids=["cf-rational", "cf-terms", "cf-construct", "compare-theta"])
+def test_usage_error_prints_nothing(capsys, argv, msg):
+    # theta is parsed and checked (for cf, expanded) before the header, so
+    # a usage error leaves stdout empty rather than a lone header
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert msg in err
+
+
 def test_verify_lambda(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "lambda")
     assert code == 0

@@ -392,7 +392,7 @@ def test_d_index_counts_the_integer_breakpoints(spec, xs, monkeypatch):
     table = DivisorTable(limit, np.r_[0, np.ones(limit, dtype=np.int64)])
     seen = []
 
-    def kernel(mid, half, d1, d2, theta):
+    def kernel(mid, half, d1, d2, theta, work=None):
         seen.append((d1, d2))
         return np.zeros(len(mid))
 
@@ -427,9 +427,9 @@ def test_sweep_drops_breakpoint_one_ulp_past_the_cap(spec, X, n, chunk,
     assert vals[-1] == X
     pieces = []
 
-    def kernel(mid, *args):
+    def kernel(mid, *args, **kwargs):
         pieces.append(len(mid))
-        return gauss8_pieces(mid, *args)
+        return gauss8_pieces(mid, *args, **kwargs)
 
     monkeypatch.setattr(correlation, "gauss8_pieces", kernel)
     monkeypatch.setattr(correlation, "_CHUNK", chunk)
@@ -534,9 +534,9 @@ def test_sweep_gauss_blocks_at_chunk_and_grid_edges(n_pieces, targets,
               for s, e in divisor._gauss_blocks(n)]
     calls = []
 
-    def kernel(mid, *args):
+    def kernel(mid, *args, **kwargs):
         calls.append(len(mid))
-        return gauss8_pieces(mid, *args)
+        return gauss8_pieces(mid, *args, **kwargs)
 
     monkeypatch.setattr(correlation, "gauss8_pieces", kernel)
     for threads in (1, 2):

@@ -17,8 +17,8 @@ import divcorr
 from divcorr.divisor import (_CHUNK, _GAUSS_BLOCK, _SIEVE_LIMIT_CAP,
                              _TONG_BLOCK, TWO_GAMMA_MINUS_1, DivisorTable,
                              _gauss_blocks, delta, gauss8_pieces,
-                             mean_square, sieve_tau, summatory_D,
-                             tong_ratio_oracle)
+                             gauss8_workspace, mean_square, sieve_tau,
+                             summatory_D, tong_ratio_oracle)
 from divcorr.errors import ResourceLimit
 
 
@@ -87,6 +87,38 @@ def test_pair_sieve_matches_harmonic_sieve(limit):
     assert np.array_equal(t.counts, harmonic_sieve(limit))
 
 
+def strided_sieve(limit: int) -> np.ndarray:
+    """sieve_tau before it counted in uint16 from a periodic pattern: one
+    strided int32 update per k <= isqrt(limit)."""
+    counts = np.zeros(limit + 1, dtype=np.int32)
+    for k in range(1, math.isqrt(limit) + 1):
+        counts[k * k::k] += 2
+        counts[k * k] -= 1
+    return counts
+
+
+def assert_same_table(limit):
+    got, want = sieve_tau(limit).counts, strided_sieve(limit)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_periodic_sieve_matches_strided_sieve_up_to_400():
+    # every limit through K^2 = 144, where the exactly counted head ends
+    # and the k <= 12 pattern takes over, and on to 400
+    for limit in range(1, 401):
+        assert_same_table(limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.integers(1, 300_000),
+    # the ends of the first periods of the k <= 12 pattern
+    st.builds(lambda j, d: 27720 * j + d, st.integers(1, 10),
+              st.integers(-2, 2))))
+def test_periodic_sieve_matches_strided_sieve(limit):
+    assert_same_table(limit)
+
+
 def test_sieve_2e6_bytes_are_pinned(big_table):
     # recorded from the harmonic sieve
     assert hashlib.sha256(big_table.counts.tobytes()).hexdigest() == (
@@ -118,6 +150,13 @@ def test_cumulative_dtype_holds_d_at_the_sieve_cap():
         sieve_tau(_SIEVE_LIMIT_CAP + 1)
 
 
+def test_sieve_accumulator_holds_the_counts_at_the_sieve_cap():
+    # sieve_tau counts in uint16: each count stays at most 2 isqrt(n) + 1
+    # (tau(n) <= 2 sqrt(n), plus the 1 a square carries for a moment), so
+    # a larger cap needs a wider accumulator
+    assert 2 * math.isqrt(_SIEVE_LIMIT_CAP) + 1 < 2**16
+
+
 def hyperbola_loop(x: int) -> int:
     """The earlier summatory_D: the hyperbola sum as a Python loop."""
     r = math.isqrt(x)
@@ -131,7 +170,8 @@ def hyperbola_loop(x: int) -> int:
     *(k * k + d for k in (1, 2, 3, 10, 1023, 1024, 10**5) for d in (-1, 0, 1)),
     10**12, 2**46 - 1, 2**46])
 def test_blocked_hyperbola_matches_loop(x):
-    # at 2^46 the first block holds 2^62 // 2^46 = 2^16 terms, then 2^20
+    # at 2^46 the first float64 block holds 2^53 // 2^46 = 2^7 terms, and
+    # the later ones grow with k0 up to 2^20
     assert summatory_D(x) == hyperbola_loop(x)
 
 
@@ -166,6 +206,50 @@ def test_blocked_hyperbola_around_2_53():
         assert math.prod(p**e for p, e in f.items()) == n
         assert all(is_prime(p) for p in f)
         assert d[n] - d[n - 1] == math.prod(e + 1 for e in f.values())
+
+
+def hyperbola_int64(x: int) -> int:
+    """summatory_D before it divided in float64: int64 blocks of at most
+    2^20 terms with len * (x // k0) <= 2^62."""
+    r = math.isqrt(x)
+    s = 0
+    k0 = 1
+    while k0 <= r:
+        n = min(max(1, (1 << 62) // (x // k0)), 1 << 20, r - k0 + 1)
+        k = np.arange(k0, k0 + n, dtype=np.int64)
+        s += int(np.floor_divide(x, k, out=k).sum())
+        k0 += n
+    return 2 * s - r * r
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 53).flatmap(
+    lambda b: st.integers(2**b >> 1, 2**b - 1)))
+def test_float_hyperbola_matches_int64_blocks(x):
+    # x drawn log-uniformly from [0, 2^53), so large and small x both occur
+    assert summatory_D(x) == hyperbola_int64(x)
+
+
+# k^2 < 2^53 for k <= 94906265, the last one here
+@pytest.mark.parametrize("k", [1, 2, 3, 12, 1024, 2**20 + 1, 10**6 + 3,
+                               3037000, 94906265])
+def test_float_hyperbola_at_squares(k):
+    # at x = k^2 the last quotient x / k = k is exact, and at k^2 - 1 the
+    # isqrt steps back to k - 1
+    for x in (k * k - 1, k * k):
+        assert summatory_D(x) == hyperbola_int64(x)
+
+
+def test_float_hyperbola_block_bound():
+    # at x = 2^50 + 12345 the first 2^20 quotients sum past 2^53, where a
+    # float64 sum rounds; the bound len * (x // k0) <= 2^53 cuts the first
+    # blocks short, and with it the result matches the int64 blocks
+    x = 2**50 + 12345
+    k = np.arange(1, 2**20 + 1)
+    q = x // k
+    assert int(q.sum()) > 2**53
+    assert int(q.astype(np.float64).sum()) != int(q.sum())
+    assert summatory_D(x) == hyperbola_int64(x)
 
 
 def test_summatory_caps_raise_before_any_work(monkeypatch):
@@ -279,6 +363,25 @@ def test_gauss8_output_is_pinned(n, with_d2):
         GAUSS8_DIGESTS[n, with_d2]
 
 
+@pytest.mark.parametrize("with_d2", [False, True])
+def test_gauss8_workspace_leaves_the_bits(with_d2):
+    # the same bytes with no workspace, a fresh one of the block's size,
+    # and one larger, dirty and reused across blocks of different lengths
+    # (each call reads its buffers only after writing them)
+    reused = gauss8_workspace([(0, 2 * _GAUSS_BLOCK - 1)])
+    for w in reused:
+        w[:] = np.nan
+    for n in (1, 4095, 4097, 1, 2 * _GAUSS_BLOCK - 1):
+        args = gauss8_inputs(n, with_d2)
+        want = gauss8_pieces(*args).tobytes()
+        if (n, with_d2) in GAUSS8_DIGESTS:
+            assert hashlib.sha256(want).hexdigest() == \
+                GAUSS8_DIGESTS[n, with_d2]
+        fresh = gauss8_workspace([(0, n)])
+        assert gauss8_pieces(*args, work=fresh).tobytes() == want
+        assert gauss8_pieces(*args, work=reused).tobytes() == want
+
+
 # the kernel, mean_square and the sweep against their oracles in the same
 # child process, so both run the same ufunc and BLAS loops: 8193 pieces are
 # one gemv with a 1-piece tail after 8192 rows, and mean_square at 4098 runs
@@ -353,6 +456,15 @@ def test_gauss8_holds_no_n_by_8_buffer(n):
         args = gauss8_inputs(n, with_d2)
         assert traced_peak(gauss8_pieces, *args) - n * 8 <= \
             5 * _GAUSS_BUF + 2**14
+
+
+def test_gauss8_with_a_workspace_allocates_only_its_result():
+    n = 2 * _GAUSS_BLOCK - 1
+    work = gauss8_workspace([(0, n)])
+    for with_d2 in (False, True):
+        args = gauss8_inputs(n, with_d2)
+        assert traced_peak(lambda: gauss8_pieces(*args, work=work)) <= \
+            n * 8 + 2**14
 
 
 def test_tong_oracle_scratch_is_block_sized(big_table):
@@ -492,9 +604,9 @@ def test_mean_square_hands_the_kernel_its_gauss_blocks(X, monkeypatch,
             for s, e in _gauss_blocks(min(lo + _CHUNK, end) - lo)]
     calls = []
 
-    def kernel(mid, half, d1):
+    def kernel(mid, half, d1, work=None):
         calls.append((int(mid[0] - half[0]), len(mid)))
-        return gauss8_pieces(mid, half, d1)
+        return gauss8_pieces(mid, half, d1, work=work)
 
     monkeypatch.setattr(divcorr.divisor, "gauss8_pieces", kernel)
     mean_square(X, big_table)
