@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .checks import SUITES
@@ -33,21 +32,14 @@ EXIT_RESOURCE = 3
 EXIT_PRECISION = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    precision_bits: int
-    threads: int
-    out_format: str
-    seed: int
-
-    def header(self, command: str) -> str:
-        return (f"# divcorr v{__version__} precision_bits={self.precision_bits} "
-                f"threads={self.threads} out_format={self.out_format} "
-                f"seed={self.seed} command={command}")
-
-
 def _emit(line=""):
     sys.stdout.write(line + "\n")
+
+
+def _emit_header(args):
+    _emit(f"# divcorr v{__version__} precision_bits={args.precision_bits} "
+          f"threads={args.threads} out_format={args.out_format} "
+          f"seed={args.seed} command={args.command}")
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +47,10 @@ def _emit(line=""):
 # ---------------------------------------------------------------------------
 
 
-def cmd_delta(cfg: RunConfig, args) -> int:
+def cmd_delta(args) -> int:
     x = args.x
     d = delta(x)
-    _emit(cfg.header("delta"))
+    _emit_header(args)
     if args.voronoi_n:
         N = args.voronoi_n
         table = sieve_tau(N)
@@ -100,16 +92,16 @@ def _psi_target(psi, m: int, m_next: int) -> tuple[float, bool]:
     return l2p, math.log2(m_next) >= l2p if met is None else met
 
 
-def cmd_cf(cfg: RunConfig, args) -> int:
+def cmd_cf(args) -> int:
     if args.construct:
         theta = theta_parse(args.construct)
         if not isinstance(theta, (TauBetaTheta, JarnikTheta)):
             raise ValueError(
                 f"unknown constructor {theta.spec!r} (taubeta/jarnik)")
-        _emit(cfg.header("cf"))
+        _emit_header(args)
         if isinstance(theta, TauBetaTheta):
             d = theta.depth  # the table's depth-term sum, not float(theta)
-            value = fraction_to_mpf(theta.partial_sum(d), cfg.precision_bits)
+            value = fraction_to_mpf(theta.partial_sum(d), args.precision_bits)
             _emit("beta,depth,value,tail_log2")
             _emit(f"{theta.a}/{theta.b},{d},{_fmt(value)},"
                   f"{_fmt(theta.tail_log2(d))}")
@@ -148,7 +140,7 @@ def cmd_cf(cfg: RunConfig, args) -> int:
         cf, note = cf_expand(theta, args.terms - 1), None
     except PrecisionExhausted as e:
         cf, note = e.partial, e
-    _emit(cfg.header("cf"))
+    _emit_header(args)
     if note is not None:
         _emit(f"# note: {note}")
         if cf is None:
@@ -184,14 +176,14 @@ def _psi_arg(text: str | None, X: float):
     return psi
 
 
-def cmd_correlate(cfg: RunConfig, args) -> int:
+def cmd_correlate(args) -> int:
     theta = theta_parse(args.theta)
     psi = _psi_arg(args.psi, args.xmin)
     results = correlate_grid(theta, args.xmin, args.xmax, args.points,
-                             threads=cfg.threads)
+                             threads=args.threads)
     fit = fit_exponent(results) if args.fit else None
-    _emit(cfg.header("correlate"))
-    if cfg.out_format == "json":
+    _emit_header(args)
+    if args.out_format == "json":
         _emit(results_json(results, fit=fit, psi=psi))
         return EXIT_OK
     header = CSV_HEADER + (",psi_normalized" if psi else "")
@@ -210,9 +202,9 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    _emit(cfg.header("verify"))
-    checks = SUITES[args.suite](cfg.seed)
+def cmd_verify(args) -> int:
+    _emit_header(args)
+    checks = SUITES[args.suite](args.seed)
     for c in checks:
         _emit(str(c))
     ok = all(c.ok for c in checks)
@@ -225,11 +217,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_compare(cfg: RunConfig, args) -> int:
+def cmd_compare(args) -> int:
     theta = theta_parse(args.theta)
     psi = _psi_arg(args.psi, args.x)
-    _emit(cfg.header("compare"))
-    cmp = compare_spectral(theta, args.x, psi=psi, threads=cfg.threads,
+    _emit_header(args)
+    cmp = compare_spectral(theta, args.x, psi=psi, threads=args.threads,
                            N=args.n, T=args.t)
     _emit("X,N,T,I_exact,J_total,D_lower,D_upper,discrepancy,disc_over_X118")
     p = cmp.report.params
@@ -302,12 +294,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(precision_bits=args.precision_bits, threads=args.threads,
-                    out_format=args.out_format, seed=args.seed)
-    if cfg.precision_bits < 53 or cfg.threads < 1:
+    if args.precision_bits < 53 or args.threads < 1:
         parser.error("precision-bits must be >= 53 and threads >= 1")
+    if args.out_format == "json" and args.command != "correlate":
+        parser.error("--format json applies to correlate only")
     try:
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](args)
     except ResourceLimit as e:
         print(f"resource error: {e}", file=sys.stderr)
         return EXIT_RESOURCE

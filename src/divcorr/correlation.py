@@ -80,7 +80,7 @@ def _first_n_at_or_above(v: float, th: float, n_lo: int, n_hi: int) -> int:
 def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
            threads: int = 1) -> list[CorrelationResult]:
     """One streaming pass over [1, max(xs)] returning I at every requested
-    X.  Breakpoints: 1.0, the integers (where Delta(x) jumps), n/theta
+    X.  Breakpoints: the integers from 1 (where Delta(x) jumps), n/theta
     (where Delta(theta x) jumps) and the requested prefix ends, up to
     Xmax + _MERGE_TOL.
 
@@ -135,7 +135,7 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
         """How many breakpoints lie below v.  Uncapped: every v that decides
         a piece (a grid X, past, a window's start a) lies at or below past,
         and values caps each window's n / theta at past itself."""
-        return (int(v > 1) + max(0, min(i_hi, math.ceil(v) - 1) - 1)
+        return (max(0, min(i_hi, math.ceil(v) - 1))
                 + _first_n_at_or_above(v, th, n_lo, n_hi) - n_lo
                 + bisect.bisect_left(xs_sorted, v))
 
@@ -150,22 +150,20 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
         integer with below(b) > start + _CHUNK."""
         a = bisect.bisect_right(ints, start, key=below)
         b = bisect.bisect_right(ints, start + _CHUNK, key=below) + 1
-        i0, i1 = max(a, 2), min(b, i_hi + 1)
+        i1 = min(b, i_hi + 1)
         n0 = _first_n_at_or_above(a, th, n_lo, n_hi)
         n1 = _first_n_at_or_above(min(b, past), th, n_lo, n_hi)
         grid = xs_sorted[bisect.bisect_left(xs_sorted, a):
                          bisect.bisect_left(xs_sorted, b)]
-        # the four sorted runs in one array: the 1.0 head, the integers,
-        # the n / theta from j and the grid X from k
-        head = int(a == 1)
-        j = head + i1 - i0
+        # the three sorted runs in one array: the integers, the n / theta
+        # from j and the grid X from k
+        j = i1 - a
         k = j + n1 - n0
         vals = np.empty(k + len(grid))
-        vals[:head] = 1.0
-        vals[head:j] = np.arange(i0, i1, dtype=np.float64)
+        vals[:j] = np.arange(a, i1, dtype=np.float64)
         np.divide(np.arange(n0, n1, dtype=np.float64), th, out=vals[j:k])
         vals[k:] = grid
-        vals.sort(kind="stable")  # timsort: merges the four sorted runs
+        vals.sort(kind="stable")  # timsort: merges the three sorted runs
         i = start - below(a)
         return vals[i:i + _CHUNK + 1]
 
@@ -181,13 +179,13 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
         for s, e in blocks:
             left, right = vals[s:e], vals[s + 1:e + 1]
             width = right - left
-            # D(x) index: min(floor(left), floor(Xmax)), which is 1 plus
-            # the count of integer breakpoints 2..i_hi up to left (left >= 1)
+            # D(x) index: min(floor(left), floor(Xmax)), which is the count
+            # of the integer breakpoints 1..i_hi up to left (left >= 1)
             idx = left.astype(np.int64)
             np.minimum(idx, i_hi, out=idx)
             d1 = cd[idx].astype(np.float64)
             # D(theta x) index: on a live piece j the breakpoints up to left
-            # are the first start + j + 1, namely 1.0, idx - 1 integers,
+            # are the first start + j + 1, namely the integers 1..idx,
             # the grid X at or before global index start + j, and the
             # n / th from floor(th) + 1 on.  A dead piece's index may be -1,
             # a valid read: the piece is zeroed below.

@@ -10,6 +10,7 @@ costs nothing.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -83,19 +84,15 @@ class ContinuedFraction:
 
 
 def convergents(cf: ContinuedFraction) -> list[Convergent]:
-    """All convergents n_k/m_k of `cf`, big-integer exact.
-
-    Initial conditions n0 = a0, m0 = 1, n1 = a0 a1 + 1, m1 = a1, then the
-    standard two-term recurrence.
+    """All convergents n_k/m_k of `cf`, big-integer exact: the two-term
+    recurrence n_k = a_k n_{k-1} + n_{k-2} (likewise m_k) from the seeds
+    n_{-1}/m_{-1} = 1/0 and n_{-2}/m_{-2} = 0/1.
     """
-    a = cf.quotients
-    out = [Convergent(0, a[0], 1)]
-    if len(a) == 1:
-        return out
-    out.append(Convergent(1, a[0] * a[1] + 1, a[1]))
-    for k in range(2, len(a)):
-        n = a[k] * out[-1].n + out[-2].n
-        m = a[k] * out[-1].m + out[-2].m
+    out = []
+    n, m, n_prev, m_prev = 1, 0, 0, 1
+    for k, a in enumerate(cf.quotients):
+        n, n_prev = a * n + n_prev, n
+        m, m_prev = a * m + m_prev, m
         out.append(Convergent(k, n, m))
     return out
 
@@ -103,29 +100,23 @@ def convergents(cf: ContinuedFraction) -> list[Convergent]:
 def cf_expand_surd(d: int, K: int) -> ContinuedFraction:
     """Exact expansion of sqrt(d) via the periodic (P, Q) recurrence.
 
-    Returns quotients a_0..a_K; the repeating block (which starts at index 1
-    for square roots) is recorded in `period`.
+    Returns quotients a_0..a_K; the repeating block, recorded in `period`,
+    runs from index 1 to the first quotient 2 a_0 (Lagrange).
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     a0 = math.isqrt(d)
     if a0 * a0 == d:
         raise ValueError(f"{d} is a perfect square")
-    block = []
+    period = []
     P, Q = a0, d - a0 * a0
-    seen = {}
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(block)
+    while not period or period[-1] != 2 * a0:
         a = (a0 + P) // Q
-        block.append(a)
+        period.append(a)
         P = a * Q - P
         Q = (d - P * P) // Q
-    start = seen[(P, Q)]
-    period = tuple(block[start:])
-    # sqrt(d) is purely periodic after a0
-    full = [a0] + [block[i] if i < len(block) else
-                   period[(i - start) % len(period)] for i in range(K)]
-    return ContinuedFraction(tuple(full), period=period)
+    full = (a0, *(period[i % len(period)] for i in range(K)))
+    return ContinuedFraction(full, period=tuple(period))
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +780,8 @@ def _compare_dist_threshold(num: int, den: int, err: float,
 
 def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
     """All m <= M with ||m theta|| < 1/psi(m), plus near-miss events at the
-    convergent denominators.
+    convergent denominators, for 1 <= M < 2**63 (the crossover bisects
+    range(1, M + 1), whose length must fit a C ssize_t).
 
     Hybrid strategy: below the crossover m* (the first m with psi(m) >= 2M)
     every m is tested; at and beyond m*, any hit has
@@ -820,17 +812,10 @@ def approximability_scan(theta: Theta, psi: PsiFunction, M: int) -> ScanResult:
         raise ValueError("M must be >= 1")
     _require_irrational(theta, "approximability_scan")
 
-    # crossover: smallest m <= M with psi(m) >= 2M, else M + 1 (monotone
-    # bisection in log2; lo and hi stand for a miss at 0 and a hit at M + 1)
-    target = math.log2(2 * M)
-    lo, hi = 0, M + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if psi.log2(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    m_star = hi
+    # crossover: smallest m <= M with psi(m) >= 2M, else M + 1 (psi.log2 is
+    # non-decreasing in m)
+    m_star = 1 + bisect.bisect_left(range(1, M + 1), math.log2(2 * M),
+                                    key=psi.log2)
 
     events = {}
     certified_to = M
@@ -1054,17 +1039,16 @@ def irrationality_base_estimate(cf: ContinuedFraction) -> BaseEstimate:
         raise ValueError("need at least 3 convergents")
     usable = len(convs) - 1  # index k needs m_{k+1}
     start = max(1, usable // 2)
-    best = None
-    for k in range(start, usable):
-        mk = convs[k].m
-        mk1 = convs[k + 1].m
+
+    def bounds(k):
+        """(mid, lo, hi, k): the log2 sandwich at index k, all 0.0 where
+        the exponent underflows (the estimate is exactly 1)."""
+        mk, mk1 = convs[k].m, convs[k + 1].m
         if mk.bit_length() > 900:
-            lo = hi = 0.0  # exponent underflows: estimate is exactly 1
-        else:
-            lo = math.log2(mk1) / mk
-            hi = math.log2(mk1 + mk) / mk
-        mid = 0.5 * (lo + hi)
-        if best is None or mid > best[0]:
-            best = (mid, lo, hi, k)
-    mid, lo, hi, k = best
+            return 0.0, 0.0, 0.0, k
+        lo, hi = math.log2(mk1) / mk, math.log2(mk1 + mk) / mk
+        return 0.5 * (lo + hi), lo, hi, k
+
+    mid, lo, hi, k = max(map(bounds, range(start, usable)),
+                         key=lambda b: b[0])
     return BaseEstimate(estimate=2.0**mid, low=2.0**lo, high=2.0**hi, k_used=k)

@@ -55,11 +55,7 @@ def _fmt_int(n: int) -> str:
 
 def to_fraction(x) -> Fraction:
     """Exact rational value of a float or mpf (both are dyadic rationals)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (Fraction, int, float)):
         return Fraction(x)
     # mpmath mpf: (sign, mantissa, exponent, bitcount); read the raw tuple
     # (reconstructing via mpmath.mpf() would re-round to working precision)
@@ -181,10 +177,8 @@ class PsiFunction:
             return float(self.param) * math.log2(x)
         lx = x.bit_length() - 1 if isinstance(x, int) and x > 2**53 else None
         if self.kind == "exp":
-            l2b = self._log2_base
-            if lx is not None:
-                return math.inf if lx > 60 else float(x) * l2b
-            return float(x) * l2b
+            return (math.inf if lx is not None and lx > 60
+                    else float(x) * self._log2_base)
         if self.kind == "expexp":
             if lx is not None or x > 50:
                 return math.inf
@@ -234,8 +228,8 @@ class PsiFunction:
         l2 = self.log2(m)
         if l2 - math.log2(m) > bits_budget:
             raise PrecisionExhausted(
-                f"quotient psi({m})/{m} needs ~{l2 - math.log2(m):.3g} bits",
-                partial=None)
+                f"quotient psi(m)/m at a {m.bit_length()}-bit m needs "
+                f"~{l2 - math.log2(m):.3g} bits")
         pq = self.exact_pair(m)
         if pq is not None:
             # a ceiling does not depend on the pair being in lowest terms
@@ -252,7 +246,8 @@ class PsiFunction:
                 return c
             prev = c
             bits *= 2
-        raise PrecisionExhausted(f"could not certify ceil(psi({m})/{m})")
+        raise PrecisionExhausted(
+            f"could not certify ceil(psi(m)/m) at a {m.bit_length()}-bit m")
 
     def inverse(self, y) -> float:
         """x with psi(x) = y, via the closed form of each family.

@@ -5,6 +5,10 @@ import re
 import pytest
 
 from divcorr.cli import main
+from divcorr.diophantine import theta_parse
+from divcorr.divisor import sieve_tau
+from divcorr.realfield import _fmt
+from divcorr.voronoi import SpectralParams, spectral_j
 
 
 def run(capsys, *argv):
@@ -208,6 +212,24 @@ def test_compare_runs(capsys):
     assert "disc_over_X118" in out
 
 
+def compare_row(capsys, *flags):
+    code, out, _ = run(capsys, "compare", "--theta", "surd:2", "--x", "1e4",
+                       *flags)
+    assert code == 0
+    return out.splitlines()[2].split(",")
+
+
+def test_compare_overrides_n_and_t(capsys):
+    row = compare_row(capsys, "--n", "100", "--t", "30")
+    assert row[1:3] == ["100", "30"]
+    rep = spectral_j(theta_parse("surd:2"), SpectralParams(1e4, 100, 30.0),
+                     sieve_tau(100))
+    assert row[4:7] == [_fmt(rep.J_total), _fmt(rep.D_lower),
+                        _fmt(rep.D_upper)]
+    # --t alone keeps the default N = X^{3/4}
+    assert compare_row(capsys, "--t", "30")[1:3] == ["1000", "30"]
+
+
 @pytest.mark.parametrize("argv", [
     ("correlate", "--theta", "surd:2", "--psi", "exp:3", "--xmin", "10",
      "--xmax", "1e4", "--points", "4"),
@@ -230,13 +252,41 @@ def test_psi_below_its_domain_prints_nothing(capsys, argv):
     (("cf", "--construct", "surd:2"), "unknown constructor 'surd:2'"),
     (("compare", "--theta", "bogus", "--x", "10"),
      "unknown theta spec 'bogus'"),
-], ids=["cf-rational", "cf-terms", "cf-construct", "compare-theta"])
+    (("cf",), "cf needs --theta or --construct"),
+    (("cf", "--construct", "jarnik:pow:1:5"), "construction infeasible: "),
+], ids=["cf-rational", "cf-terms", "cf-construct", "compare-theta",
+        "cf-no-theta", "cf-infeasible"])
 def test_usage_error_prints_nothing(capsys, argv, msg):
     # theta is parsed and checked (for cf, expanded) before the header, so
     # a usage error leaves stdout empty rather than a lone header
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert msg in err
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (("--threads", "0", "delta", "--x", "2"), "threads >= 1"),
+    (("--precision-bits", "52", "delta", "--x", "2"), "must be >= 53"),
+    (("--format", "json", "delta", "--x", "2"),
+     "--format json applies to correlate only"),
+    (("--format", "json", "compare", "--theta", "surd:2", "--x", "100"),
+     "--format json applies to correlate only"),
+], ids=["threads", "precision-bits", "json-delta", "json-compare"])
+def test_global_flag_errors_exit_2_before_any_output(capsys, argv, msg):
+    with pytest.raises(SystemExit) as ei:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert (ei.value.code, out.out) == (2, "")
+    assert msg in out.err
+
+
+def test_cf_with_no_certified_quotient_prints_only_the_note(capsys):
+    # dec:1 is trusted only to +-1: not even a0 is certified
+    code, out, _ = run(capsys, "cf", "--theta", "dec:1")
+    lines = out.splitlines()
+    assert code == 4 and len(lines) == 2
+    assert lines[0].startswith("# divcorr v")
+    assert lines[1].startswith("# note: ")
 
 
 def test_verify_lambda(capsys):

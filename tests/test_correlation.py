@@ -176,6 +176,12 @@ def test_csv_and_json_shapes(table_2e4):
     assert "psi_normalized" in parsed["results"][0]
 
 
+def test_json_num_writes_values_from_1e15_as_strings():
+    assert correlation._json_num(10**15) == "1000000000000000"
+    assert correlation._json_num(2e15) == "2000000000000000"
+    assert correlation._json_num(10**15 - 1) == 10**15 - 1
+
+
 def test_identity_theta_at_1e4(big_table):
     r = correlate_exact("rat:1/1", 10_000.0, big_table)
     assert r.I == pytest.approx(mean_square(10_000.0, big_table), rel=1e-9)

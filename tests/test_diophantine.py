@@ -56,6 +56,34 @@ def test_surd_periods():
         dio.cf_expand_surd(1, 5)
 
 
+def _cf_expand_surd_oracle(d: int, K: int):
+    """cf_expand_surd as it was before its period ended at the first
+    quotient 2 a0: the (P, Q) recurrence runs until a state repeats, found
+    in a dict of the states seen.  Returns (quotients, period)."""
+    a0 = math.isqrt(d)
+    block = []
+    P, Q = a0, d - a0 * a0
+    seen = {}
+    while (P, Q) not in seen:
+        seen[(P, Q)] = len(block)
+        a = (a0 + P) // Q
+        block.append(a)
+        P = a * Q - P
+        Q = (d - P * P) // Q
+    start = seen[(P, Q)]
+    period = tuple(block[start:])
+    full = [a0] + [block[i] if i < len(block) else
+                   period[(i - start) % len(period)] for i in range(K)]
+    return tuple(full), period
+
+
+def test_surd_expansion_matches_repeated_state_oracle():
+    for d in range(2, 2001):
+        if math.isqrt(d) ** 2 != d:
+            cf = dio.cf_expand_surd(d, 70)
+            assert (cf.quotients, cf.period) == _cf_expand_surd_oracle(d, 70)
+
+
 def test_golden_expansion():
     cf = dio.theta_parse("golden").continued_fraction(9)
     assert list(cf.quotients) == [1] * 10
@@ -218,6 +246,30 @@ def test_determinant_identity_random_cf(quots, a0):
         det = convs[k].n * convs[k - 1].m - convs[k - 1].n * convs[k].m
         assert det == (-1) ** (k - 1)
         assert convs[k].m >= fib(k + 1)
+
+
+def _convergents_oracle(a):
+    """convergents as it was before the seeds 1/0 and 0/1: the initial
+    conditions n0 = a0, m0 = 1, n1 = a0 a1 + 1, m1 = a1, then the
+    two-term recurrence.  Returns (k, n_k, m_k) triples."""
+    out = [(0, a[0], 1)]
+    if len(a) == 1:
+        return out
+    out.append((1, a[0] * a[1] + 1, a[1]))
+    for k in range(2, len(a)):
+        out.append((k, a[k] * out[-1][1] + out[-2][1],
+                    a[k] * out[-1][2] + out[-2][2]))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**6, 10**6),
+       st.lists(st.one_of(st.integers(1, 9), st.integers(1, 2**80)),
+                max_size=29))
+def test_convergents_match_initial_conditions_oracle(a0, quots):
+    cf = dio.ContinuedFraction((a0, *quots))
+    got = [(c.k, c.n, c.m) for c in dio.convergents(cf)]
+    assert got == _convergents_oracle(cf.quotients)
 
 
 # --- invariants bundle -------------------------------------------------------
@@ -1018,6 +1070,8 @@ _WALK_PSIS = st.one_of(
                                   if k < 17 else st.just(2**17)))
 @example("taubeta:2/1:4", "exp:3/2", 2**17)
 @example("jarnik:pow:2:6", "exp:11/10", 2**17)
+@example("golden", "scale:1000:pow:2", 500)  # m* = 1: psi(1) = 2M
+@example("surd:2", "pow:1/2", 1000)  # m* = M + 1: no fast region
 def test_scan_walk_matches_fraction_oracle(theta, psi, M):
     th, ps = dio.theta_parse(theta), psi_parse(psi)
     got = dio.approximability_scan(th, ps, M)
@@ -1374,6 +1428,17 @@ def test_construct_jarnik_expexp_budget():
     assert rep.all_ok
 
 
+def test_construct_jarnik_truncates_past_the_int_str_limit(monkeypatch,
+                                                           capsys):
+    # at a 2**15-bit budget, pow:2's quotient a_18 exceeds it at an m_17 of
+    # over 4300 decimal digits: ceil_div's PrecisionExhausted must not need
+    # m in decimal, or the truncated construction becomes a parse error
+    monkeypatch.setattr(dio, "DEFAULT_QUOTIENT_BITS", 2**15)
+    assert dio.theta_parse("jarnik:pow:2:30").truncated is not None
+    assert main(["cf", "--construct", "jarnik:pow:2:30"]) == 0
+    assert "\n# note: quotient a_18 exceeds" in capsys.readouterr().out
+
+
 def test_construct_jarnik_infeasible():
     with pytest.raises(ConstructionInfeasible):
         dio.construct_jarnik(psi_parse("pow:1"), 8)
@@ -1397,6 +1462,38 @@ def test_base_estimate_tau_beta():
     est = dio.irrationality_base_estimate(cf)
     assert est.estimate == pytest.approx(2.0, rel=0.15)
     assert est.low <= est.estimate <= est.high
+
+
+def _base_estimate_oracle(cf):
+    """irrationality_base_estimate as it was before max(): a loop that
+    keeps the first strict maximum of mid.  Returns (estimate, low, high,
+    k_used)."""
+    convs = dio.convergents(cf)
+    usable = len(convs) - 1
+    best = None
+    for k in range(max(1, usable // 2), usable):
+        mk, mk1 = convs[k].m, convs[k + 1].m
+        if mk.bit_length() > 900:
+            lo = hi = 0.0
+        else:
+            lo = math.log2(mk1) / mk
+            hi = math.log2(mk1 + mk) / mk
+        mid = 0.5 * (lo + hi)
+        if best is None or mid > best[0]:
+            best = (mid, lo, hi, k)
+    mid, lo, hi, k = best
+    return 2.0**mid, 2.0**lo, 2.0**hi, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 9), st.integers(1, 2**300)),
+                min_size=2, max_size=39))
+def test_base_estimate_matches_argmax_loop_oracle(quots):
+    cf = dio.theta_parse("cf:[0;" + ",".join(map(str, quots)) + "]").cf
+    e = dio.irrationality_base_estimate(cf)
+    want = _base_estimate_oracle(cf)
+    assert (e.estimate.hex(), e.low.hex(), e.high.hex(), e.k_used) == (
+        want[0].hex(), want[1].hex(), want[2].hex(), want[3])
 
 
 def test_base_estimate_needs_three():

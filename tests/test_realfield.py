@@ -51,6 +51,7 @@ def test_to_fraction_roundtrip():
     assert abs(fr * fr - 2) < Fraction(1, 2**115)
     assert to_fraction(0.375) == Fraction(3, 8)
     assert to_fraction(7) == 7
+    assert to_fraction(Fraction(-5, 3)) == Fraction(-5, 3)
 
 
 def test_log2_fraction_huge():
@@ -147,6 +148,12 @@ def test_psi_exact_fraction_and_ceil_div():
     assert psi_parse("expexp").exact_pair(2) is None
     e = psi_parse("expexp")
     assert e.ceil_div(1, 1 << 20) == 16  # ceil(e^e) = 16
+
+
+def test_ceil_div_over_budget_at_an_m_past_the_int_str_limit():
+    # m has over 4300 decimal digits: the message names its bit length
+    with pytest.raises(PrecisionExhausted, match="14617-bit m"):
+        psi_parse("pow:2").ceil_div(10**4400, 10)
 
 
 @pytest.mark.parametrize("spec,m,P", [

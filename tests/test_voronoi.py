@@ -455,6 +455,15 @@ def test_theta_enters_as_one_correctly_rounded_double():
     assert a_mn(theta, 1, 1) == a_mn(th, 1, 1)
 
 
+def test_spectral_j_at_n_0_and_past_the_table():
+    theta, table = theta_parse("surd:2"), divisor.sieve_tau(10)
+    rep = spectral_j(theta, SpectralParams(X=100.0, N=0, T=30.0), table)
+    assert (rep.J_total, rep.D_lower, rep.D_upper, rep.term_count_lower,
+            rep.term_count_upper) == (0.0, 0.0, 0.0, 0, 0)
+    with pytest.raises(ValueError, match="table limit 10 < N = 11"):
+        spectral_j(theta, SpectralParams(X=100.0, N=11, T=30.0), table)
+
+
 def test_spectral_j_matches_brute(table_2e4):
     # the comparison with a naive double loop at X = 16 is the spectral
     # suite of `divcorr verify`
