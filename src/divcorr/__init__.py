@@ -7,8 +7,8 @@ import os
 
 # One BLAS thread: the Gauss kernel's gemvs, one per block of 4096 pieces,
 # are too small to gain from more, and OpenBLAS threads spin on the other
-# cores.  This must
-# run before numpy is first imported; values the user has set still win.
+# cores.  This must run before numpy is first imported; values the user has
+# set still win.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var

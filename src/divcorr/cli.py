@@ -68,13 +68,22 @@ def cmd_delta(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: the largest m, in bits, whose distance the cf table resolves.  A row's
+#: nearest_distance takes time in proportion to m's bits, and a Jarnik
+#: construction's m doubles its bits each row, so the rows past this print
+#: unresolved.  Every golden row lies below it (65537 bits at most).
+_DIST_BITS = 1 << 17
+
+
 def _print_cf_table(theta: Theta, cf: ContinuedFraction):
     _emit("k,a_k,n_k,m_k,dist_mk_theta")
     for c in convergents(cf):
-        try:
-            dist = _fmt(nearest_distance(theta, c.m))
-        except PrecisionExhausted:
-            dist = "unresolved"
+        dist = "unresolved"
+        if c.m.bit_length() <= _DIST_BITS:
+            try:
+                dist = _fmt(nearest_distance(theta, c.m))
+            except PrecisionExhausted:
+                pass
         _emit(f"{c.k},{_fmt_int(cf.quotients[c.k])},{_fmt_int(c.n)},"
               f"{_fmt_int(c.m)},{dist}")
 

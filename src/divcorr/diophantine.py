@@ -21,7 +21,7 @@ import mpmath
 
 from .errors import (ConstructionInfeasible, PrecisionExhausted,
                      ThetaParseError)
-from .realfield import (PsiFunction, _fmt_int, fraction_to_mpf,
+from .realfield import (_DECIMAL_LIMIT, PsiFunction, fraction_to_mpf,
                         log2_fraction, log2_ratio, psi_parse, sqrt_const,
                         to_fraction)
 
@@ -527,6 +527,15 @@ def _dist_from_enclosure(enc: Enclosure, m: int):
     return d, err
 
 
+def _m_theta(m: int) -> str:
+    """||m * theta|| for a message: m by its bit length from 10^4300 on,
+    where str(m) raises and its hex can run to hundreds of thousands of
+    characters."""
+    if m < _DECIMAL_LIMIT:
+        return f"||{m} * theta||"
+    return f"||m * theta|| at a {m.bit_length()}-bit m"
+
+
 def _resolve_distance(theta: Theta, m: int):
     """Certified (dist, log2_err): the radius is at least _DIST_REL_BITS
     below the distance itself (or exactly zero).  Escalates the enclosure
@@ -536,12 +545,12 @@ def _resolve_distance(theta: Theta, m: int):
         if err == -_INF:
             if d == 0:
                 raise PrecisionExhausted(
-                    f"||{_fmt_int(m)} * theta|| below representable resolution")
+                    f"{_m_theta(m)} below representable resolution")
             return d, err
         if d > 0 and err <= log2_fraction(d) - _DIST_REL_BITS:
             return d, err
     raise PrecisionExhausted(
-        f"||{_fmt_int(m)} * theta|| not resolved at the available precision "
+        f"{_m_theta(m)} not resolved at the available precision "
         f"(anchor distance {float(d):.4g}, radius 2^{err:.4g})")
 
 

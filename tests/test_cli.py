@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from divcorr import cli
 from divcorr.cli import main
 from divcorr.diophantine import theta_parse
 from divcorr.divisor import sieve_tau
@@ -99,6 +100,25 @@ def test_cf_jarnik_target_met_is_exact(capsys, spec, met):
     for row, nxt in zip(rows, rows[1:]):
         assert met(int(row[1]), int(nxt[1]))
         assert row[4] == "True"
+
+
+def test_cf_distances_stop_at_the_bit_budget(capsys, monkeypatch):
+    # jarnik:pow:3:7's m_k have 1, 1, 2, 4, 10, 29, 86 and 257 bits
+    def dist_rows():
+        code, out, _ = run(capsys, "cf", "--construct", "jarnik:pow:3:7")
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("k,a_k,n_k,m_k,dist_mk_theta") + 1
+        end = lines.index("k,m_k,log2_m_next,log2_psi_mk,target_met")
+        return [line.split(",") for line in lines[start:end]]
+    full = dist_rows()
+    monkeypatch.setattr(cli, "_DIST_BITS", 20)
+    cut = dist_rows()
+    # m_7 is past what the construction's own enclosure resolves
+    assert "unresolved" not in [row[4] for row in full[:7]]
+    assert [row[4] for row in cut[5:]] == ["unresolved"] * 3
+    assert cut[:5] == full[:5]
+    assert [row[:4] for row in cut] == [row[:4] for row in full]
 
 
 def test_cf_jarnik_log2_psi_above_2_53(capsys):

@@ -1439,6 +1439,24 @@ def test_construct_jarnik_truncates_past_the_int_str_limit(monkeypatch,
     assert "\n# note: quotient a_18 exceeds" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spec,m,reason", [
+    # the table's last row of cf --theta taubeta:2/1:5 --terms 20
+    ("taubeta:2/1:5", None, "65537-bit m below representable resolution"),
+    ("dec:0.1234567891", 10**4300 + 1, "14285-bit m not resolved"),
+], ids=["taubeta:2/1:5", "dec:0.1234567891"])
+def test_unresolved_distance_names_a_huge_m_by_its_bit_length(spec, m,
+                                                               reason):
+    theta = dio.theta_parse(spec)
+    if m is None:
+        with pytest.raises(PrecisionExhausted) as ei:
+            dio.cf_expand(theta, 19)
+        m = dio.convergents(ei.value.partial)[-1].m
+    with pytest.raises(PrecisionExhausted) as ei:
+        dio.nearest_distance(theta, m)
+    assert str(ei.value).startswith(f"||m * theta|| at a {reason}")
+    assert len(str(ei.value)) < 200
+
+
 def test_construct_jarnik_infeasible():
     with pytest.raises(ConstructionInfeasible):
         dio.construct_jarnik(psi_parse("pow:1"), 8)
