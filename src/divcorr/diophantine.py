@@ -59,7 +59,8 @@ class Convergent:
     m: int  # denominator (positive)
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.n, self.m)
+        # n_k m_{k-1} - n_{k-1} m_k = +-1, so the pair is in lowest terms
+        return _coprime_fraction(self.n, self.m)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ResourceLimit
-from .exactsum import exact_block_sum
+from .exactsum import _BLOCK as _SUM_BLOCK, exact_block_sum
 from .realfield import gamma_const
 
 #: 2*gamma - 1, the linear coefficient of the smooth main term.
@@ -302,14 +302,23 @@ def mean_square(X: float, table: DivisorTable | None = None) -> float:
     end = math.ceil(X)
 
     def pieces(lo, hi):
+        # the Gauss blocks' integrals fill one buffer of up to _SUM_BLOCK
+        # (16 Gauss blocks), which goes to the exact sum whole
         blocks = _gauss_blocks(hi - lo)
         work = gauss8_workspace(blocks)
+        group = np.empty(min(hi - lo, _SUM_BLOCK))
+        fill = 0
         for s, e in blocks:
+            if fill + e - s > len(group):
+                yield group[:fill]
+                fill = 0
             left = np.arange(lo + s, lo + e, dtype=np.float64)
             right = np.minimum(left + 1, X)
-            yield gauss8_pieces(0.5 * (left + right), 0.5 * (right - left),
-                                cd[lo + s:lo + e].astype(np.float64),
-                                work=work)
+            group[fill:fill + e - s] = gauss8_pieces(
+                0.5 * (left + right), 0.5 * (right - left),
+                cd[lo + s:lo + e].astype(np.float64), work=work)
+            fill += e - s
+        yield group[:fill]
 
     return math.fsum(
         exact_block_sum(partial(pieces, lo, min(lo + _CHUNK, end)))
@@ -329,11 +338,14 @@ def tong_ratio_oracle(limit: int = 2_000_000,
         table = sieve_tau(limit)
 
     def terms():
+        # tau(n)^2 / n^1.5 in two reused buffers
+        step = np.arange(min(limit, _TONG_BLOCK), dtype=np.float64)
+        n, t = np.empty_like(step), np.empty_like(step)
         for s in range(1, limit + 1, _TONG_BLOCK):
-            n = np.arange(s, min(s + _TONG_BLOCK, limit + 1),
-                          dtype=np.float64)
-            t2 = table.counts[s:s + len(n)].astype(np.float64) ** 2
-            yield t2 / n**1.5
+            k = min(_TONG_BLOCK, limit + 1 - s)
+            np.power(np.add(step[:k], s, out=n[:k]), 1.5, out=n[:k])
+            np.square(table.counts[s:s + k], out=t[:k], dtype=np.float64)
+            yield np.divide(t[:k], n[:k], out=t[:k])
 
     partial = exact_block_sum(terms)
 

@@ -230,6 +230,9 @@ class PsiFunction:
             raise PrecisionExhausted(
                 f"quotient psi(m)/m at a {m.bit_length()}-bit m needs "
                 f"~{l2 - math.log2(m):.3g} bits")
+        if self.kind == "pow" and self.param.denominator == 1:
+            # m^a / m = m^(a - 1) exactly, with no division of huge ints
+            return m ** (self.param.numerator - 1)
         pq = self.exact_pair(m)
         if pq is not None:
             # a ceiling does not depend on the pair being in lowest terms

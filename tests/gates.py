@@ -87,7 +87,7 @@ def sweep():
 
 def tong():
     # tong_ratio_oracle and mean_square stream their 2e6 and 1e6 terms
-    # through one exact sum, 2^16 terms or one Gauss block of 4096 pieces at
+    # through one exact sum, 2^16 terms or 2^16 pieces (16 Gauss blocks) at
     # a time; the whole series built at once would pass the limit
     return [megabytes([run(CLI + ["verify", "--suite", "tong"])], 64)]
 
@@ -205,11 +205,13 @@ assert res.certified_to == M, res.certified_to
 
 def jarnik_depth():
     # The construction stops at K = 24 (m_24 of about 5 million bits) after
-    # about 30 s, and the table resolves distances only up to cli._DIST_BITS
-    # bits: the rows past it, whose time doubles each row, would add about
-    # 80 s.  36-44 s in all on a 2-vCPU x86-64 host.
+    # about 2 s: it takes no gcd of a convergent pair and pow:a's quotient
+    # is m^(a - 1) with no division (about 30 s with both).  The table
+    # resolves distances only up to cli._DIST_BITS bits: the rows past it,
+    # whose time doubles each row, would add about 80 s.  10.0-10.6 s in
+    # all on a 2-vCPU x86-64 host.
     jarnik = CLI + ["cf", "--construct", "jarnik:pow:2:99999"]
-    return [seconds([run(jarnik, 300)], 75)]
+    return [seconds([run(jarnik, 300)], 30)]
 
 
 GATES = [sweep, tong, compare, legendre, deep_tau_beta, scan_exp_1_1,

@@ -248,6 +248,19 @@ def test_determinant_identity_random_cf(quots, a0):
         assert convs[k].m >= fib(k + 1)
 
 
+@pytest.mark.parametrize("spec, K", [
+    ("surd:2", 30), ("surd:61", 30), ("golden", 30), ("cf:[-3;1,4,1,1,9]", 5),
+    ("taubeta:2/1:3", 4), ("jarnik:pow:2:6", 4), ("jarnik:exp:3:4", 3)])
+def test_as_fraction_is_the_reduced_fraction(spec, K):
+    # as_fraction skips Fraction's gcd: the convergent pairs are coprime
+    theta = dio.theta_parse(spec)
+    for c in dio.convergents(theta.continued_fraction(K)):
+        f = c.as_fraction()
+        assert f == Fraction(c.n, c.m)
+        assert (f.numerator, f.denominator) == (c.n, c.m)
+        assert hash(f) == hash(Fraction(c.n, c.m))
+
+
 def _convergents_oracle(a):
     """convergents as it was before the seeds 1/0 and 0/1: the initial
     conditions n0 = a0, m0 = 1, n1 = a0 a1 + 1, m1 = a1, then the

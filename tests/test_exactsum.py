@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from divcorr.divisor import (gauss8_pieces, mean_square, sieve_tau,
                              tong_ratio_oracle)
-from divcorr.exactsum import (_BLOCK, exact_block_sum, exact_prefix_sums,
-                               exact_sum)
+from divcorr.exactsum import (_BLOCK, _scaled_sum, exact_block_sum,
+                               exact_prefix_sums, exact_sum)
 from divcorr.voronoi import _4PI, _SQRT2_PI, q_n
 
 
@@ -184,6 +184,82 @@ def test_block_sum_across_exact_sum_blocks():
     blocks = [a, -a[::-1][:_BLOCK], -a[::-1][_BLOCK:], np.array([2.0**-1074])]
     flat = np.concatenate(blocks).tolist()
     assert exact_block_sum(lambda: blocks).hex() == math.fsum(flat).hex()
+
+
+# --- edge cases of the extraction, on whole blocks ---------------------------
+
+
+def units(xs):
+    """The exact sum of xs in units of 2^-1074, from each double's ratio."""
+    return sum(p << (1075 - d.bit_length())
+               for p, d in map(float.as_integer_ratio, xs))
+
+
+def assert_extracts_exactly(a):
+    """_scaled_sum(a) is the exact sum, and exact_sum rounds it as fsum."""
+    assert _scaled_sum(a) == units(a.tolist())
+    assert exact_sum(a).hex() == math.fsum(a.tolist()).hex()
+
+
+@pytest.mark.parametrize("e", [-1000, -30, 0, 52, 1000])
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK])
+def test_full_block_at_the_bound_of_m(e, n):
+    # values just below 2^e, the largest ones 2^e - ulp: n high parts on
+    # the grid 2^(e + M - 53) add up to nearly n 2^e, which takes all 53
+    # bits of a partial sum once n passes 2^(M - 1)
+    rng = np.random.default_rng(e % 97)
+    top = 2.0**e - 2.0**(e - 53)
+    a = top - rng.integers(0, 2**40, n) * 2.0**(e - 53)
+    a[::7] = top
+    assert_extracts_exactly(a)
+    assert_extracts_exactly(-a)
+    assert_extracts_exactly(np.where(rng.random(n) < 0.9, a, -a))
+
+
+def test_one_block_from_2_999_down_to_the_smallest_subnormal():
+    # each level takes 53 - M bits, so this block needs about 60 levels
+    rng = np.random.default_rng(5)
+    k = np.arange(-1074, 1000)
+    mant = 1 + rng.integers(0, 2**52, len(k)) * 2.0**-52
+    a = np.concatenate([np.ldexp(1.0, k), np.ldexp(mant, k - 52).clip(
+        5e-324), -np.ldexp(mant, k)[k < 947]])
+    rng.shuffle(a)
+    assert len(a) <= _BLOCK and np.abs(a).max() < 2.0**1000
+    assert_extracts_exactly(a)
+
+
+def test_subnormal_blocks_take_the_clamp():
+    rng = np.random.default_rng(3)
+    for n in (1, 1000, _BLOCK, _BLOCK + 7):
+        a = rng.integers(-2**52 + 1, 2**52, n) * 5e-324
+        assert_extracts_exactly(a)
+        assert_extracts_exactly(np.abs(a))
+    assert_extracts_exactly(np.full(_BLOCK, 2.0**-1022 - 2.0**-1074))
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK, 2 * _BLOCK + 1])
+def test_zero_blocks_keep_fsum_sign(n):
+    pos, neg = np.zeros(n), np.full(n, -0.0)
+    assert _scaled_sum(pos) == _scaled_sum(neg) == 0
+    for a in (pos, neg, np.concatenate((neg, pos)),
+              np.concatenate((neg, [2.0**-1074, -2.0**-1074]))):
+        assert_same_as_fsum(a)
+        assert exact_block_sum(lambda: [a[:_BLOCK], a[_BLOCK:]]).hex() == \
+            math.fsum(a.tolist()).hex()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**1000])
+def test_non_finite_in_the_middle_of_a_second_block(bad):
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal(2 * _BLOCK)
+    a[_BLOCK + _BLOCK // 2] = bad
+    assert _scaled_sum(a) is None
+    assert_same_as_fsum(a)
+    assert_block_sum_is_fsum([a[:_BLOCK], a[_BLOCK:]])
+    got = exact_prefix_sums(a, [_BLOCK, _BLOCK + _BLOCK // 2, 2 * _BLOCK])
+    assert [g.hex() for g in got] == [
+        math.fsum(a[:s].tolist()).hex()
+        for s in (_BLOCK, _BLOCK + _BLOCK // 2, 2 * _BLOCK)]
 
 
 # --- the fsum(... .tolist()) reductions exact_sum replaced, as oracles -------

@@ -150,6 +150,15 @@ def test_psi_exact_fraction_and_ceil_div():
     assert e.ceil_div(1, 1 << 20) == 16  # ceil(e^e) = 16
 
 
+@pytest.mark.parametrize("a", [1, 2, 3, 4])
+def test_ceil_div_integer_pow_is_the_ceiling_of_the_pair(a):
+    # pow:a returns m^(a - 1) with no division; the pair's ceiling agrees
+    psi = psi_parse(f"pow:{a}")
+    for m in [*range(1, 300), 2**61 - 1, 3**50]:
+        P, Q = psi.exact_pair(m)
+        assert psi.ceil_div(m, 1 << 20) == -((-P) // (Q * m))
+
+
 def test_ceil_div_over_budget_at_an_m_past_the_int_str_limit():
     # m has over 4300 decimal digits: the message names its bit length
     with pytest.raises(PrecisionExhausted, match="14617-bit m"):
