@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ResourceLimit
-from .exactsum import _BLOCK as _SUM_BLOCK, exact_block_sum
+from .exactsum import exact_block_sum
 from .realfield import gamma_const
 
 #: 2*gamma - 1, the linear coefficient of the smooth main term.
@@ -302,23 +302,14 @@ def mean_square(X: float, table: DivisorTable | None = None) -> float:
     end = math.ceil(X)
 
     def pieces(lo, hi):
-        # the Gauss blocks' integrals fill one buffer of up to _SUM_BLOCK
-        # (16 Gauss blocks), which goes to the exact sum whole
         blocks = _gauss_blocks(hi - lo)
         work = gauss8_workspace(blocks)
-        group = np.empty(min(hi - lo, _SUM_BLOCK))
-        fill = 0
         for s, e in blocks:
-            if fill + e - s > len(group):
-                yield group[:fill]
-                fill = 0
             left = np.arange(lo + s, lo + e, dtype=np.float64)
             right = np.minimum(left + 1, X)
-            group[fill:fill + e - s] = gauss8_pieces(
-                0.5 * (left + right), 0.5 * (right - left),
-                cd[lo + s:lo + e].astype(np.float64), work=work)
-            fill += e - s
-        yield group[:fill]
+            yield gauss8_pieces(0.5 * (left + right), 0.5 * (right - left),
+                                cd[lo + s:lo + e].astype(np.float64),
+                                work=work)
 
     return math.fsum(
         exact_block_sum(partial(pieces, lo, min(lo + _CHUNK, end)))

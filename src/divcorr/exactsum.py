@@ -26,7 +26,7 @@ import numpy as np
 #: largest.  The block and its two work arrays (512 KB each) stay in cache:
 #: per value, 2^15 ran within 4% of 2^16 on mean_square's pieces and on
 #: tong_ratio_oracle's terms, and 2^14, 2^17 and 2^18 ran 1.07, 1.26 and
-#: 1.6 times slower
+#: 1.6 times slower.  exact_block_sum gathers shorter blocks to this size
 _BLOCK = 1 << 16
 #: the exact sum is carried as an int in units of 2^-1074, of which every
 #: double is a multiple
@@ -72,20 +72,42 @@ def exact_sum(a) -> float:
     return exact_prefix_sums(a, [len(a)])[0]
 
 
+def _groups(blocks):
+    """The values of `blocks()` in order, as arrays of about _BLOCK values:
+    shorter blocks are copied together into one reused buffer, so that the
+    per-call cost of _scaled_sum is paid once per _BLOCK values, and a
+    block of _BLOCK values or more passes as it is."""
+    buf, fill = None, 0
+    for b in blocks():
+        if fill and fill + len(b) > _BLOCK:
+            yield buf[:fill]
+            fill = 0
+        if len(b) >= _BLOCK:
+            yield b
+            continue
+        if buf is None:
+            buf = np.empty(_BLOCK)
+        buf[fill:fill + len(b)] = b
+        fill += len(b)
+    if fill:
+        yield buf[:fill]
+
+
 def exact_block_sum(blocks) -> float:
     """math.fsum over the concatenation of the float64 arrays that
-    `blocks()` yields, bitwise, holding one block at a time: the exact
-    block sums are added as ints, and the total is rounded once.  Each
-    block is read before the next is asked for, so a generator may yield
-    views of one reused buffer.
+    `blocks()` yields, bitwise, holding at most _BLOCK values beyond the
+    block in hand: the exact sums of about _BLOCK values at a time are
+    added as ints, and the total is rounded once.  Each block is read
+    before the next is asked for, so a generator may yield views of one
+    reused buffer.
 
     `blocks` is called once more, to let math.fsum itself read the values,
     only where a block holds a non-finite value or one of magnitude
     >= 2^1000, or the blocks sum to exactly zero (whose sign fsum decides).
     """
     scaled = 0
-    for b in blocks():
-        part = _scaled_sum(b)
+    for g in _groups(blocks):
+        part = _scaled_sum(g)
         if part is None:
             break
         scaled += part

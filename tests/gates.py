@@ -87,8 +87,9 @@ def sweep():
 
 def tong():
     # tong_ratio_oracle and mean_square stream their 2e6 and 1e6 terms
-    # through one exact sum, 2^16 terms or 2^16 pieces (16 Gauss blocks) at
-    # a time; the whole series built at once would pass the limit
+    # through one exact sum, 2^16 terms or 2^16 pieces (16 Gauss blocks,
+    # which the sum copies into one buffer) at a time; the whole series
+    # built at once would pass the limit
     return [megabytes([run(CLI + ["verify", "--suite", "tong"])], 64)]
 
 

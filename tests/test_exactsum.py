@@ -186,6 +186,29 @@ def test_block_sum_across_exact_sum_blocks():
     assert exact_block_sum(lambda: blocks).hex() == math.fsum(flat).hex()
 
 
+def test_block_sum_groups_short_blocks_of_a_reused_buffer():
+    # short blocks, yielded as views of one buffer that the generator
+    # overwrites, are gathered to _BLOCK values; longer ones in between
+    # (and one that exactly fills a group) are summed where they lie
+    rng = np.random.default_rng(13)
+    sizes = [4096] * 15 + [4095, 1, 7, _BLOCK, 3, _BLOCK + 5, 4096] + \
+        [_BLOCK - 3, 3, 1, 0, 2]
+    a = rng.standard_normal(sum(sizes)) * np.exp2(rng.integers(-40, 40,
+                                                               sum(sizes)))
+    stops = np.cumsum([0] + sizes)
+
+    def blocks():
+        buf = np.empty(max(sizes))
+        for s, e in zip(stops, stops[1:]):
+            buf[:e - s] = a[s:e]
+            yield buf[:e - s]
+            buf[:] = math.nan
+
+    assert exact_block_sum(blocks).hex() == math.fsum(a.tolist()).hex()
+    a[-4] = math.inf
+    assert exact_block_sum(blocks) == math.inf
+
+
 # --- edge cases of the extraction, on whole blocks ---------------------------
 
 
