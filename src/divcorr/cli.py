@@ -3,6 +3,10 @@ pipeline stage.
 
 Exit codes: 0 success, 1 check failure, 2 usage/domain error, 3 resource
 limit, 4 precision exhausted.
+
+Each cmd_* maps the parsed args to (exit code, rows) and prints nothing;
+main writes the header and the rows in one write after the command returns,
+so a command that raises leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -32,14 +36,10 @@ EXIT_RESOURCE = 3
 EXIT_PRECISION = 4
 
 
-def _emit(line=""):
-    sys.stdout.write(line + "\n")
-
-
-def _emit_header(args):
-    _emit(f"# divcorr v{__version__} precision_bits={args.precision_bits} "
-          f"threads={args.threads} out_format={args.out_format} "
-          f"seed={args.seed} command={args.command}")
+def _header(args) -> str:
+    return (f"# divcorr v{__version__} precision_bits={args.precision_bits} "
+            f"threads={args.threads} out_format={args.out_format} "
+            f"seed={args.seed} command={args.command}")
 
 
 # ---------------------------------------------------------------------------
@@ -47,20 +47,15 @@ def _emit_header(args):
 # ---------------------------------------------------------------------------
 
 
-def cmd_delta(args) -> int:
+def cmd_delta(args) -> tuple[int, list[str]]:
     x = args.x
     d = delta(x)
-    _emit_header(args)
-    if args.voronoi_n:
-        N = args.voronoi_n
-        table = sieve_tau(N)
-        q = q_n(x, N, table)
-        _emit("x,delta,q_N,N,gap")
-        _emit(f"{_fmt(x)},{_fmt(d)},{_fmt(q)},{N},{_fmt(abs(d - q))}")
-    else:
-        _emit("x,delta")
-        _emit(f"{_fmt(x)},{_fmt(d)}")
-    return EXIT_OK
+    if not args.voronoi_n:
+        return EXIT_OK, ["x,delta", f"{_fmt(x)},{_fmt(d)}"]
+    N = args.voronoi_n
+    q = q_n(x, N, sieve_tau(N))
+    return EXIT_OK, ["x,delta,q_N,N,gap",
+                     f"{_fmt(x)},{_fmt(d)},{_fmt(q)},{N},{_fmt(abs(d - q))}"]
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +70,8 @@ def cmd_delta(args) -> int:
 _DIST_BITS = 1 << 17
 
 
-def _print_cf_table(theta: Theta, cf: ContinuedFraction):
-    _emit("k,a_k,n_k,m_k,dist_mk_theta")
+def _cf_rows(theta: Theta, cf: ContinuedFraction) -> list[str]:
+    rows = ["k,a_k,n_k,m_k,dist_mk_theta"]
     for c in convergents(cf):
         dist = "unresolved"
         if c.m.bit_length() <= _DIST_BITS:
@@ -84,8 +79,9 @@ def _print_cf_table(theta: Theta, cf: ContinuedFraction):
                 dist = _fmt(nearest_distance(theta, c.m))
             except PrecisionExhausted:
                 pass
-        _emit(f"{c.k},{_fmt_int(cf.quotients[c.k])},{_fmt_int(c.n)},"
-              f"{_fmt_int(c.m)},{dist}")
+        rows.append(f"{c.k},{_fmt_int(cf.quotients[c.k])},{_fmt_int(c.n)},"
+                    f"{_fmt_int(c.m)},{dist}")
+    return rows
 
 
 def _psi_target(psi, m: int, m_next: int) -> tuple[float, bool]:
@@ -101,30 +97,28 @@ def _psi_target(psi, m: int, m_next: int) -> tuple[float, bool]:
     return l2p, math.log2(m_next) >= l2p if met is None else met
 
 
-def cmd_cf(args) -> int:
+def cmd_cf(args) -> tuple[int, list[str]]:
     if args.construct:
         theta = theta_parse(args.construct)
         if not isinstance(theta, (TauBetaTheta, JarnikTheta)):
             raise ValueError(
                 f"unknown constructor {theta.spec!r} (taubeta/jarnik)")
-        _emit_header(args)
         if isinstance(theta, TauBetaTheta):
             d = theta.depth  # the table's depth-term sum, not float(theta)
             value = fraction_to_mpf(theta.partial_sum(d), args.precision_bits)
-            _emit("beta,depth,value,tail_log2")
-            _emit(f"{theta.a}/{theta.b},{d},{_fmt(value)},"
-                  f"{_fmt(theta.tail_log2(d))}")
-            _emit("term,exponent")
-            for i in range(1, d + 1):
-                _emit(f"{i},{theta.tower(i)}")
-            return EXIT_OK
-        if theta.truncated is not None:
-            _emit(f"# note: {theta.truncated}")
+            return EXIT_OK, [
+                "beta,depth,value,tail_log2",
+                f"{theta.a}/{theta.b},{d},{_fmt(value)},"
+                f"{_fmt(theta.tail_log2(d))}",
+                "term,exponent",
+                *(f"{i},{theta.tower(i)}" for i in range(1, d + 1))]
+        rows = [] if theta.truncated is None else [
+            f"# note: {theta.truncated}"]
         psi, cf = theta.psi, theta.cf
-        _print_cf_table(theta, cf)
+        rows += _cf_rows(theta, cf)
         # a-posteriori approximability of the constructed convergents:
         # ||m_k theta|| < 1/m_{k+1} <= 1/psi(m_k) for k >= 2
-        _emit("k,m_k,log2_m_next,log2_psi_mk,target_met")
+        rows.append("k,m_k,log2_m_next,log2_psi_mk,target_met")
         convs = convergents(cf)
         for k in range(2, len(convs)):
             if k + 1 < len(convs):
@@ -136,9 +130,9 @@ def cmd_cf(args) -> int:
                 l2p = psi.log2(convs[k].m)
                 l2n = max(l2p, math.log2(convs[k].m))
                 met = True
-            _emit(f"{k},{_fmt_int(convs[k].m)},{_fmt(l2n)},{_fmt(l2p)},"
-                  f"{met}")
-        return EXIT_OK
+            rows.append(f"{k},{_fmt_int(convs[k].m)},{_fmt(l2n)},"
+                        f"{_fmt(l2p)},{met}")
+        return EXIT_OK, rows
 
     if not args.theta:
         raise ValueError("cf needs --theta or --construct")
@@ -149,19 +143,15 @@ def cmd_cf(args) -> int:
         cf, note = cf_expand(theta, args.terms - 1), None
     except PrecisionExhausted as e:
         cf, note = e.partial, e
-    _emit_header(args)
-    if note is not None:
-        _emit(f"# note: {note}")
-        if cf is None:
-            return EXIT_PRECISION
-    _print_cf_table(theta, cf)
+    rows = [] if note is None else [f"# note: {note}"]
+    if cf is None:
+        return EXIT_PRECISION, rows
     rep = convergent_invariants(theta, len(cf) - 1)
-    _emit("invariant,ok")
-    _emit(f"determinant,{rep.determinant_ok}")
-    _emit(f"alternation,{rep.alternation_ok}")
-    _emit(f"sandwich,{rep.sandwich_ok}")
-    _emit(f"fibonacci,{rep.fibonacci_ok}")
-    return EXIT_OK
+    return EXIT_OK, [*rows, *_cf_rows(theta, cf), "invariant,ok",
+                     f"determinant,{rep.determinant_ok}",
+                     f"alternation,{rep.alternation_ok}",
+                     f"sandwich,{rep.sandwich_ok}",
+                     f"fibonacci,{rep.fibonacci_ok}"]
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +160,8 @@ def cmd_cf(args) -> int:
 
 
 def _psi_arg(text: str | None, X: float):
-    """The --psi function, or None without one.  Raises before any work or
-    output unless psi^{-1}(X^{1/4}), which the psi columns read at X and
+    """The --psi function, or None without one.  Raises before any work
+    unless psi^{-1}(X^{1/4}), which the psi columns read at X and
     above, is defined: X >= psi(1)^4."""
     if not text:
         return None
@@ -185,25 +175,23 @@ def _psi_arg(text: str | None, X: float):
     return psi
 
 
-def cmd_correlate(args) -> int:
+def cmd_correlate(args) -> tuple[int, list[str]]:
     theta = theta_parse(args.theta)
     psi = _psi_arg(args.psi, args.xmin)
     results = correlate_grid(theta, args.xmin, args.xmax, args.points,
                              threads=args.threads)
     fit = fit_exponent(results) if args.fit else None
-    _emit_header(args)
     if args.out_format == "json":
-        _emit(results_json(results, fit=fit, psi=psi))
-        return EXIT_OK
-    header = CSV_HEADER + (",psi_normalized" if psi else "")
-    _emit(header)
-    for r in results:
-        _emit(result_csv_row(r, psi))
+        return EXIT_OK, [results_json(results, fit=fit, psi=psi)]
+    rows = [CSV_HEADER + (",psi_normalized" if psi else "")]
+    rows += (result_csv_row(r, psi) for r in results)
     if fit is not None:
-        _emit("fit_slope,fit_intercept,rms_residual,points_used,sign_changes")
-        _emit(f"{_fmt(fit.slope)},{_fmt(fit.intercept)},{_fmt(fit.rms_residual)},"
-              f"{fit.points_used},{fit.sign_changes}")
-    return EXIT_OK
+        rows += ["fit_slope,fit_intercept,rms_residual,points_used,"
+                 "sign_changes",
+                 f"{_fmt(fit.slope)},{_fmt(fit.intercept)},"
+                 f"{_fmt(fit.rms_residual)},{fit.points_used},"
+                 f"{fit.sign_changes}"]
+    return EXIT_OK, rows
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +199,11 @@ def cmd_correlate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
-    _emit_header(args)
+def cmd_verify(args) -> tuple[int, list[str]]:
     checks = SUITES[args.suite](args.seed)
-    for c in checks:
-        _emit(str(c))
     ok = all(c.ok for c in checks)
-    _emit(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    verdict = f"suite {args.suite}: {'PASS' if ok else 'FAIL'}"
+    return EXIT_OK if ok else EXIT_CHECK_FAILED, [*map(str, checks), verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +211,18 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[int, list[str]]:
     theta = theta_parse(args.theta)
     psi = _psi_arg(args.psi, args.x)
-    _emit_header(args)
     cmp = compare_spectral(theta, args.x, psi=psi, threads=args.threads,
                            N=args.n, T=args.t)
-    _emit("X,N,T,I_exact,J_total,D_lower,D_upper,discrepancy,disc_over_X118")
     p = cmp.report.params
-    _emit(",".join([_fmt(cmp.X), str(p.N), _fmt(p.T), _fmt(cmp.I_exact),
-                    _fmt(cmp.report.J_total), _fmt(cmp.report.D_lower),
-                    _fmt(cmp.report.D_upper), _fmt(cmp.discrepancy),
-                    _fmt(cmp.ratio_x118)]))
-    return EXIT_OK
+    return EXIT_OK, [
+        "X,N,T,I_exact,J_total,D_lower,D_upper,discrepancy,disc_over_X118",
+        ",".join([_fmt(cmp.X), str(p.N), _fmt(p.T), _fmt(cmp.I_exact),
+                  _fmt(cmp.report.J_total), _fmt(cmp.report.D_lower),
+                  _fmt(cmp.report.D_upper), _fmt(cmp.discrepancy),
+                  _fmt(cmp.ratio_x118)])]
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      "truncated oscillating sum")
     d.add_argument("--x", type=float, required=True)
     d.add_argument("--voronoi-n", type=int, default=0)
+    d.set_defaults(run=cmd_delta)
 
     c = sub.add_parser("cf", help="continued fraction tables and constructions")
     c.add_argument("--theta", type=str)
     c.add_argument("--terms", type=int, default=10)
     c.add_argument("--construct", type=str,
                    help="taubeta:a/b:depth or jarnik:<psi>:K")
+    c.set_defaults(run=cmd_cf)
 
     r = sub.add_parser("correlate", help="correlation integral over a grid")
     r.add_argument("--theta", type=str, required=True)
@@ -277,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--points", type=int, required=True)
     r.add_argument("--fit", action="store_true")
     r.add_argument("--psi", type=str, default=None)
+    r.set_defaults(run=cmd_correlate)
 
     m = sub.add_parser("compare", help="exact integral vs spectral sum")
     m.add_argument("--theta", type=str, required=True)
@@ -284,20 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--psi", type=str, default=None)
     m.add_argument("--n", type=int, default=None, help="override N")
     m.add_argument("--t", type=float, default=None, help="override T")
+    m.set_defaults(run=cmd_compare)
 
     v = sub.add_parser("verify", help="invariant suites")
     v.add_argument("--suite", type=str, required=True,
                    choices=sorted(SUITES))
+    v.set_defaults(run=cmd_verify)
     return p
-
-
-_COMMANDS = {
-    "delta": cmd_delta,
-    "cf": cmd_cf,
-    "correlate": cmd_correlate,
-    "compare": cmd_compare,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -308,7 +288,7 @@ def main(argv=None) -> int:
     if args.out_format == "json" and args.command != "correlate":
         parser.error("--format json applies to correlate only")
     try:
-        return _COMMANDS[args.command](args)
+        code, rows = args.run(args)
     except ResourceLimit as e:
         print(f"resource error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -321,6 +301,8 @@ def main(argv=None) -> int:
     except (ValueError, PsiParseError, ThetaParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    sys.stdout.write("".join(f"{line}\n" for line in (_header(args), *rows)))
+    return code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ from .divisor import (_CHUNK, DivisorTable, _gauss_blocks, _ordered_map,
 from .errors import ResourceLimit
 from .exactsum import exact_prefix_sums
 from .realfield import PsiFunction, _fmt
-from .voronoi import SpectralParams, SpectralReport, spectral_j
+from .voronoi import (SpectralParams, SpectralReport,
+                      check_spectral_budget, spectral_j)
 
 #: the sweep zeroes the integral of each piece no wider than this (the
 #: slivers between near-coincident breakpoints n ~ m*theta, and the empty
@@ -103,8 +104,9 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
     besides the table: a chunk in flight holds its breakpoint window and
     its piece integrals, two float64 arrays of about _CHUNK, plus one Gauss
     block's arrays and the chunk's gauss8_workspace, four buffers of its
-    longest block, which is freed before the exact sums (6.4 MB traced for
-    the whole sweep to X = 4e6 at one thread, 14.7 MB at two).  The output
+    longest block, which is freed before the exact sums (tracemalloc's peak
+    for correlate_grid("surd:2", 1e4, 4e6, 4) on a prebuilt table and its
+    cumulative D: 5.4 MiB at one thread, 13.7 MiB at two).  The output
     bits do not depend on `threads` (with more than one chunk,
     _ordered_map runs the chunks on `threads` workers).
     """
@@ -303,6 +305,7 @@ def compare_spectral(theta, X: float, psi: PsiFunction | None = None,
     if N is not None or T is not None:
         params = SpectralParams(X=X, N=N if N is not None else params.N,
                                 T=T if T is not None else params.T)
+    check_spectral_budget(params.N)  # before the sieve and the sweep
     need = max(params.N, int(math.floor(float(theta) * X)) + 1,
                int(math.floor(X)))
     if table is None or table.limit < need:

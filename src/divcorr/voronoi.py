@@ -222,6 +222,19 @@ class SpectralReport:
     params: SpectralParams
 
 
+def check_spectral_budget(N: int):
+    """Raise unless spectral_j can sum N x N terms: ValueError for N < 0,
+    ResourceLimit past N^2 = 2e9.  Costs nothing, so a caller that must
+    sieve or sweep before the spectral sum checks it first."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if N * N > 2_000_000_000:
+        cap = 44_000
+        raise ResourceLimit(
+            f"{N}x{N} spectral terms exceed the budget; cap N at about {cap} "
+            f"(X at about {int(cap ** (4 / 3))})", suggested_cap=cap)
+
+
 def spectral_j(theta, params: SpectralParams, table: DivisorTable,
                threads: int = 1) -> SpectralReport:
     """The spectral double sum
@@ -243,13 +256,7 @@ def spectral_j(theta, params: SpectralParams, table: DivisorTable,
     on threads or on B.
     """
     X, N, T = params.X, params.N, params.T
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if N * N > 2_000_000_000:
-        cap = 44_000
-        raise ResourceLimit(
-            f"{N}x{N} spectral terms exceed the budget; cap N at about {cap} "
-            f"(X at about {int(cap ** (4 / 3))})", suggested_cap=cap)
+    check_spectral_budget(N)
     if table.limit < N:
         raise ValueError(f"table limit {table.limit} < N = {N}")
     if N == 0:

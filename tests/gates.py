@@ -20,15 +20,16 @@ CLI = [sys.executable, "-m", "divcorr.cli"]
 STRICT_CLI = [sys.executable, "-W", "error::RuntimeWarning", *CLI[1:]]
 
 
-def run(cmd, timeout=None):
+def run(cmd, timeout=None, status=0):
     """(stdout, wall seconds, peak RSS in MB) of one child process.
 
     The peak is the child's own, from os.wait4: getrusage(RUSAGE_CHILDREN)
     reports the largest child reaped so far, whichever it was.  Exec starts
     the child's peak at that of the process that spawns it, so this process
     must stay smaller than its children: it imports only the standard
-    library.  Raises CalledProcessError on a non-zero exit, and
-    TimeoutExpired after killing a child that runs past `timeout` seconds.
+    library.  Raises CalledProcessError on an exit status other than
+    `status`, and TimeoutExpired after killing a child that runs past
+    `timeout` seconds.
     """
     with tempfile.TemporaryFile("w+") as out:
         t = time.perf_counter()
@@ -39,14 +40,14 @@ def run(cmd, timeout=None):
             timed_out = not select.select([fd], [], [], timeout)[0]
             if timed_out:
                 signal.pidfd_send_signal(fd, signal.SIGKILL)
-            _, status, usage = os.wait4(pid, 0)
+            _, wstatus, usage = os.wait4(pid, 0)
         finally:
             os.close(fd)
         wall = time.perf_counter() - t
         if timed_out:
             raise subprocess.TimeoutExpired(cmd, timeout)
-        code = os.waitstatus_to_exitcode(status)
-        if code:
+        code = os.waitstatus_to_exitcode(wstatus)
+        if code != status:
             raise subprocess.CalledProcessError(code, cmd)
         out.seek(0)
         return out.read(), wall, usage.ru_maxrss / 1024
@@ -109,6 +110,16 @@ def compare():
     run(STRICT_CLI + ["--threads", "2", "compare", "--theta", "rat:1/1",
                       "--x", "1e4"])
     return [megabytes(cases[0] + cases[1], 100), *map(rows_equal, cases)]
+
+
+def compare_fail_fast():
+    # N = X^{3/4} = 177827 exceeds the spectral budget N^2 <= 2e9: compare
+    # exits 3 before it sieves to theta X, with nothing on stdout, in about
+    # 0.2 s (3 s when the check waited for the exact sweep)
+    out, wall, _ = run(CLI + ["compare", "--theta", "surd:2", "--x", "1e7"],
+                       60, status=3)
+    return [at_most([wall], 1.5, "s"), (f"stdout empty: {out == ''}",
+                                        out == "")]
 
 
 LEGENDRE_2_32 = """
@@ -215,8 +226,8 @@ def jarnik_depth():
     return [seconds([run(jarnik, 300)], 30)]
 
 
-GATES = [sweep, tong, compare, legendre, deep_tau_beta, scan_exp_1_1,
-         scan_2_28, jarnik_depth]
+GATES = [sweep, tong, compare, compare_fail_fast, legendre, deep_tau_beta,
+         scan_exp_1_1, scan_2_28, jarnik_depth]
 
 
 def main():

@@ -277,8 +277,7 @@ def test_psi_below_its_domain_prints_nothing(capsys, argv):
 ], ids=["cf-rational", "cf-terms", "cf-construct", "compare-theta",
         "cf-no-theta", "cf-infeasible"])
 def test_usage_error_prints_nothing(capsys, argv, msg):
-    # theta is parsed and checked (for cf, expanded) before the header, so
-    # a usage error leaves stdout empty rather than a lone header
+    # main prints the header only after a command returns, and these raise
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert msg in err
@@ -321,10 +320,15 @@ def test_verify_unknown_suite(capsys):
     assert ei.value.code == 2
 
 
-def test_resource_cap_exit_code(capsys):
-    code, _, err = run(capsys, "correlate", "--theta", "rat:2/1",
-                       "--xmin", "100", "--xmax", "5e8", "--points", "3")
-    assert code == 3
+@pytest.mark.parametrize("argv", [
+    ("correlate", "--theta", "rat:2/1", "--xmin", "100", "--xmax", "5e8",
+     "--points", "3"),
+    ("compare", "--theta", "surd:2", "--x", "2e6"),
+    ("delta", "--x", "100", "--voronoi-n", "300000000"),
+], ids=["correlate", "compare", "delta"])
+def test_resource_cap_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
     assert "cap" in err
 
 
@@ -336,6 +340,6 @@ def test_header_records_config(capsys):
 
 
 def test_precision_exhausted_exit_code(capsys):
-    code, _, err = run(capsys, "cf", "--construct", "taubeta:2/1:9")
-    assert code == 4
+    code, out, err = run(capsys, "cf", "--construct", "taubeta:2/1:9")
+    assert (code, out) == (4, "")
     assert "max safe depth" in err

@@ -161,6 +161,18 @@ def test_compare_spectral_small(table_2e4):
         cmp_t.report.D_lower + cmp_t.report.D_upper, rel=1e-12)
 
 
+def test_compare_spectral_past_its_budget_fails_before_any_work(monkeypatch):
+    # N = X^{3/4} = 177827 at X = 1e7 exceeds the N^2 <= 2e9 spectral budget:
+    # the sieve to theta X and the exact sweep would be wasted
+    def unreachable(*args, **kwargs):
+        raise AssertionError("compare_spectral worked before its budget check")
+    monkeypatch.setattr(correlation, "correlate_exact", unreachable)
+    monkeypatch.setattr(correlation, "sieve_tau", unreachable)
+    with pytest.raises(ResourceLimit) as ei:
+        compare_spectral("surd:2", 1e7)
+    assert ei.value.suggested_cap == 44000
+
+
 def test_csv_and_json_shapes(table_2e4):
     rs = correlate_grid("surd:2", 100.0, 10000.0, 4, table_2e4)
     row = result_csv_row(rs[0])

@@ -35,6 +35,14 @@ def test_run_returns_stdout_and_raises_on_a_nonzero_exit():
     assert e.value.returncode == 3
 
 
+def test_run_takes_the_expected_exit_status():
+    cmd = [sys.executable, "-c", "print('out'); raise SystemExit(3)"]
+    assert run(cmd, status=3)[0] == "out\n"
+    with pytest.raises(subprocess.CalledProcessError) as e:
+        run([sys.executable, "-c", "pass"], status=3)
+    assert e.value.returncode == 0
+
+
 def test_run_kills_a_child_past_its_timeout():
     t = time.perf_counter()
     with pytest.raises(subprocess.TimeoutExpired):
