@@ -29,13 +29,16 @@ _SIEVE_LIMIT_CAP = 200_000_000
 #: Past n = _SIEVE_K^2 the divisor pairs (k, n/k) with k <= _SIEVE_K count
 #: the same at n and n + lcm(1, ..., _SIEVE_K) = n + 27720.
 _SIEVE_K = 12
+#: Entries per segment of sieve_tau's pairs with k > _SIEVE_K: 2 MB of
+#: uint16, the L2 cache per core of the x86-64 host it was sized on.
+_SIEVE_SEGMENT = 1 << 20
 #: summatory_D works in int64.
 _SUMMATORY_X_CAP = 2**63 - 1
 #: Below this x, float64 division gives floor(x/k) exactly, and integers up
 #: to it add exactly in float64.
 _FLOAT_EXACT = 2**53
-#: Entries per block of the hyperbola sum (8 MB).
-_HYPERBOLA_BLOCK = 1 << 20
+#: Entries per block of the hyperbola sum (512 KB of float64 or int64).
+_HYPERBOLA_BLOCK = 1 << 16
 #: Pieces per Gauss block (see _gauss_blocks), the unit in which callers
 #: hand pieces to gauss8_pieces: its node-major buffers then hold 8 x 4096
 #: doubles (256 KB).
@@ -75,25 +78,24 @@ class DivisorTable:
         return self._cumulative[0]
 
 
-def _add_pairs(counts: np.ndarray, ks) -> None:
-    """Count the divisor pairs (k, n/k) with k <= n/k for each k in ks:
-    2 at every multiple n >= k^2 of k, less 1 at n = k^2."""
-    for k in ks:
-        counts[k * k::k] += 2
-        counts[k * k] -= 1
-
-
 def sieve_tau(limit: int) -> DivisorTable:
     """Divisor-count sieve up to `limit`.
 
-    Counts each divisor pair (k, n/k) with k <= n/k once (_add_pairs), in
-    uint16: no count passes 2 isqrt(_SIEVE_LIMIT_CAP) + 1 < 2^16.  For
-    n > 144 the pairs with k <= _SIEVE_K = 12 add 2 for each such k | n, a
-    pattern of period lcm(1..12) = 27720 that one np.resize lays down; the
-    entries n <= 144 are then counted exactly, and isqrt(limit) - 12
-    strided updates add the pairs with k >= 13, touching about
-    limit (ln(limit)/2 - 3) entries in all.  One cast makes the int32
-    table.
+    Counts each divisor pair (k, n/k) with k <= n/k once, in uint16 (no
+    count passes 2 isqrt(_SIEVE_LIMIT_CAP) + 1 < 2^16): 2 at every multiple
+    n >= k^2 of k, less 1 at n = k^2.  For n > 144 the pairs with
+    k <= _SIEVE_K = 12 add 2 for each such k | n, a pattern of period
+    lcm(1..12) = 27720 that one np.resize lays down; the entries n <= 144
+    are then counted exactly.  The pairs with k >= 13 go in one segment of
+    _SIEVE_SEGMENT = 2^20 entries at a time, so that their strided updates
+    stay in a 2 MB L2 cache: each k <= isqrt(segment end) adds 2 from its
+    first multiple >= max(k^2, segment start), and one fancy-index update
+    takes the 1 off every k^2.  On a 2-vCPU Xeon with 2 MB of L2 per core,
+    sieve_tau(2e6) took 25-27 ms (minimum to median of 11) with each update
+    across the whole 4 MB table, and takes 18-19 ms in segments; 8e6 took
+    149-155 ms and takes 90-96 ms.  Segments of 2^19 were as fast at 2e6
+    but 0.5 ms slower at 1e6, which one segment of 2^20 sieves as before.
+    One cast makes the int32 table.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -107,8 +109,15 @@ def sieve_tau(limit: int) -> DivisorTable:
     counts = np.resize(period, limit + 1)
     head = counts[:_SIEVE_K**2 + 1]
     head[:] = 0
-    _add_pairs(head, range(1, math.isqrt(len(head) - 1) + 1))
-    _add_pairs(counts, range(_SIEVE_K + 1, math.isqrt(limit) + 1))
+    for k in range(1, math.isqrt(len(head) - 1) + 1):
+        head[k * k::k] += 2
+        head[k * k] -= 1
+    for s in range(0, limit + 1, _SIEVE_SEGMENT):
+        e = min(s + _SIEVE_SEGMENT, limit + 1)
+        segment = counts[s:e]
+        for k in range(_SIEVE_K + 1, math.isqrt(e - 1) + 1):
+            segment[max(k * k, -(-s // k) * k) - s::k] += 2
+    counts[np.arange(_SIEVE_K + 1, math.isqrt(limit) + 1) ** 2] -= 1
     counts = counts.astype(np.int32)
     counts.flags.writeable = False
     return DivisorTable(limit=limit, counts=counts)
@@ -119,11 +128,15 @@ def summatory_D(x: int) -> int:
 
         D(x) = 2 * sum_{k <= r} floor(x/k) - r^2,   r = isqrt(x).
 
-    The sum runs over numpy blocks k0 <= k < k0 + len of at most 2^20
-    terms (8 MB), whose sums add up as Python ints.  Below x = 2^53 the
-    blocks are float64: floor(x/k) is the floor of the correctly rounded
-    x/k, because a k that does not divide x leaves x/k at least 1/k from
-    an integer, more than half an ulp of x/k < 2^53 / k; and with
+    The sum runs over numpy blocks k0 <= k < k0 + len of at most
+    _HYPERBOLA_BLOCK = 2^16 terms (512 KB), whose sums add up as Python
+    ints.  Blocks of 2^20 terms (8 MB) took 10.2-11.0 ms for the 8 queries
+    at 1e11-1e12 of a mean_square_tong benchmark pass, against 9.5-9.7 ms,
+    and `divcorr delta --x 1e12` peaked 7.5 MB above `delta --x 10`,
+    against 1.0 MB.  Below x = 2^53 the blocks are float64: floor(x/k) is
+    the floor of the correctly rounded x/k, because a k that does not
+    divide x leaves x/k at least 1/k from an integer, more than half an ulp
+    of x/k < 2^53 / k; and with
     len * (x // k0) <= 2^53 every partial sum of a block is an integer
     that float64 holds exactly.  From 2^53 on they are int64, with
     len * (x // k0) <= 2^62 so that no block sum overflows.  Either way
@@ -215,22 +228,26 @@ def gauss8_workspace(blocks: list[tuple[int, int]]) -> list[np.ndarray]:
     return [np.empty(len(_GAUSS_NODES) * w) for _ in range(4)]
 
 
-def gauss8_pieces(mid: np.ndarray, half: np.ndarray, d1: np.ndarray,
-                  d2: np.ndarray | None = None,
+def gauss8_pieces(mid: np.ndarray, half: np.ndarray | float,
+                  d1: np.ndarray, d2: np.ndarray | None = None,
                   theta: float = 1.0, work=None) -> np.ndarray:
     """8-point Gauss integral of Delta(x) Delta(theta x) over each piece
     [mid - half, mid + half] on which D(x) = d1 and D(theta x) = d2 are
-    constant.  With d2 omitted the integrand is Delta(x)^2.
+    constant.  With d2 omitted the integrand is Delta(x)^2.  half is one
+    half-width per piece, or one float for pieces of equal width.
 
     The integrand fills node-major (8, n) buffers, the nodes down axis 0,
     reused through out= ufuncs, so that each ufunc runs 8 flat loops over
     the pieces rather than one 8-element loop per piece: x = mid + half *
-    node, Delta at x and at theta * x (_delta_at), and their product,
-    written contiguously and then copied once, transposed, into x's freed
-    buffer viewed as a C-contiguous (n, 8) matrix.  The weighted sum over
-    the nodes is one gemv, `prod @ _GAUSS_WEIGHTS`, which is then scaled by
+    node (one broadcast add of the 8 products when half is a float), Delta
+    at x and at theta * x (_delta_at), and their product, written
+    contiguously and then copied once, transposed, into x's freed buffer
+    viewed as a C-contiguous (n, 8) matrix.  The weighted sum over the
+    nodes is one gemv, `prod @ _GAUSS_WEIGHTS`, which is then scaled by
     half.  Its scratch is four buffers of 8 * n doubles, so callers pass
-    one Gauss block (_gauss_blocks) at a time.
+    one Gauss block (_gauss_blocks) at a time.  A float half gives the
+    bits of np.full(n, half): each x and each scaled row is the same
+    IEEE product or sum either way.
 
     work is an optional list of four flat float64 arrays of at least 8 * n
     entries (gauss8_workspace) that hold those buffers; the fourth is read
@@ -241,8 +258,10 @@ def gauss8_pieces(mid: np.ndarray, half: np.ndarray, d1: np.ndarray,
     if work is None:
         work = gauss8_workspace([(0, n)])
     x, tmp, f1, f2 = (w[:8 * n].reshape(8, n) for w in work)
-    np.multiply(half, _GAUSS_NODES[:, None], out=x)
-    np.add(mid, x, out=x)
+    if np.ndim(half):
+        np.add(mid, np.multiply(half, _GAUSS_NODES[:, None], out=x), out=x)
+    else:
+        np.add(mid, (half * _GAUSS_NODES)[:, None], out=x)
     _delta_at(d1, x, f1, tmp)
     if d2 is None:
         f2 = f1
@@ -286,8 +305,17 @@ def mean_square(X: float, table: DivisorTable | None = None) -> float:
     """Integral of Delta(x)^2 over [1, X], breakpoint-exact.
 
     The integrand is smooth between consecutive integers (D is constant
-    there), so each unit piece is integrated by 8-point Gauss quadrature,
-    which is far beyond 1e-9 accurate for this integrand class.
+    there), so each unit piece [n, n + 1] is integrated by 8-point Gauss
+    quadrature, which is far beyond 1e-9 accurate for this integrand class.
+    The pieces stream one Gauss block (_gauss_blocks) of each _CHUNK at a
+    time into the chunk's exact sum; the chunk sums are added by fsum.  A
+    block of whole unit pieces is handed to the kernel as
+    mid = np.arange(n + 0.5, ...) and the float half = 0.5, the bits that
+    0.5 * (left + right) and 0.5 * (right - left) give for them, with five
+    fewer array passes and the kernel's one-pass nodes: mean_square(1e6) on
+    a built table took 52-55 ms (median of 25) when every block built left,
+    right, mid and half, and takes 47-51 ms.  Only the block that ends in
+    the partial piece [floor X, X] takes one half-width per piece.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
@@ -305,9 +333,14 @@ def mean_square(X: float, table: DivisorTable | None = None) -> float:
         blocks = _gauss_blocks(hi - lo)
         work = gauss8_workspace(blocks)
         for s, e in blocks:
-            left = np.arange(lo + s, lo + e, dtype=np.float64)
-            right = np.minimum(left + 1, X)
-            yield gauss8_pieces(0.5 * (left + right), 0.5 * (right - left),
+            mid, half = np.arange(lo + s + 0.5, lo + e), 0.5
+            if lo + e > X:
+                # the last piece is [n, X]
+                n = lo + e - 1
+                mid[-1] = 0.5 * (n + X)
+                half = np.full(e - s, 0.5)
+                half[-1] = 0.5 * (X - n)
+            yield gauss8_pieces(mid, half,
                                 cd[lo + s:lo + e].astype(np.float64),
                                 work=work)
 

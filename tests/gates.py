@@ -122,6 +122,15 @@ def compare_fail_fast():
                                         out == "")]
 
 
+def delta_scratch():
+    # summatory_D(1e12) sums 10^6 quotients in blocks of 2^16 (512 KB), so
+    # its peak RSS stays within 2 MB of a query that sums 3: about 1 MB
+    # above it, where blocks of 2^20 (8 MB) took 7.5 MB.  A difference of
+    # two children, so that each host's import size cancels out.
+    big, small = (run(CLI + ["delta", "--x", x]) for x in ("1e12", "10"))
+    return [at_most([big[2] - small[2]], 2, "MB over delta --x 10")]
+
+
 LEGENDRE_2_32 = """
 from divcorr.diophantine import legendre_hits, theta_parse
 def denominators(a, M):
@@ -226,8 +235,8 @@ def jarnik_depth():
     return [seconds([run(jarnik, 300)], 30)]
 
 
-GATES = [sweep, tong, compare, compare_fail_fast, legendre, deep_tau_beta,
-         scan_exp_1_1, scan_2_28, jarnik_depth]
+GATES = [sweep, tong, compare, compare_fail_fast, delta_scratch, legendre,
+         deep_tau_beta, scan_exp_1_1, scan_2_28, jarnik_depth]
 
 
 def main():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import divcorr
-from divcorr.divisor import (_CHUNK, _GAUSS_BLOCK, _SIEVE_LIMIT_CAP,
+from divcorr.divisor import (_CHUNK, _GAUSS_BLOCK, _HYPERBOLA_BLOCK,
+                             _SIEVE_K, _SIEVE_LIMIT_CAP, _SIEVE_SEGMENT,
                              _TONG_BLOCK, TWO_GAMMA_MINUS_1, DivisorTable,
                              _gauss_blocks, delta, gauss8_pieces,
                              gauss8_workspace, mean_square, sieve_tau,
                              summatory_D, tong_ratio_oracle)
 from divcorr.errors import ResourceLimit
+from divcorr.exactsum import exact_block_sum
 
 
 def tau_brute(n: int) -> int:
@@ -119,6 +122,46 @@ def test_periodic_sieve_matches_strided_sieve(limit):
     assert_same_table(limit)
 
 
+def whole_table_sieve(limit: int) -> np.ndarray:
+    """sieve_tau before it went in segments: the k <= 12 pattern and the
+    exact head in uint16, then one strided update per k >= 13 across the
+    whole table."""
+    period = np.zeros(math.lcm(*range(1, _SIEVE_K + 1)), dtype=np.uint16)
+    for k in range(1, _SIEVE_K + 1):
+        period[::k] += 2
+    counts = np.resize(period, limit + 1)
+    head = counts[:_SIEVE_K**2 + 1]
+    head[:] = 0
+    for k in range(1, math.isqrt(len(head) - 1) + 1):
+        head[k * k::k] += 2
+        head[k * k] -= 1
+    for k in range(_SIEVE_K + 1, math.isqrt(limit) + 1):
+        counts[k * k::k] += 2
+        counts[k * k] -= 1
+    return counts.astype(np.int32)
+
+
+def assert_same_as_whole_table(limit):
+    got, want = sieve_tau(limit).counts, whole_table_sieve(limit)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# around the first three segment ends, and around 2^19, 2^20 and 3 * 2^19
+# (k = 1024 has k^2 = 2^20 on a segment start)
+@pytest.mark.parametrize("limit", sorted({
+    *(j * _SIEVE_SEGMENT + d for j in (1, 2, 3) for d in range(-2, 3)),
+    *(j * 2**19 + d for j in (1, 2) for d in (-1, 0, 1)),
+    *(3 * 2**19 + d for d in range(-2, 3))}))
+def test_segmented_sieve_matches_whole_table_at_segment_edges(limit):
+    assert_same_as_whole_table(limit)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3_000_000))
+def test_segmented_sieve_matches_whole_table(limit):
+    assert_same_as_whole_table(limit)
+
+
 def test_sieve_2e6_bytes_are_pinned(big_table):
     # recorded from the harmonic sieve
     assert hashlib.sha256(big_table.counts.tobytes()).hexdigest() == (
@@ -171,7 +214,7 @@ def hyperbola_loop(x: int) -> int:
     10**12, 2**46 - 1, 2**46])
 def test_blocked_hyperbola_matches_loop(x):
     # at 2^46 the first float64 block holds 2^53 // 2^46 = 2^7 terms, and
-    # the later ones grow with k0 up to 2^20
+    # the later ones grow with k0 up to _HYPERBOLA_BLOCK = 2^16
     assert summatory_D(x) == hyperbola_loop(x)
 
 
@@ -242,14 +285,29 @@ def test_float_hyperbola_at_squares(k):
 
 def test_float_hyperbola_block_bound():
     # at x = 2^50 + 12345 the first 2^20 quotients sum past 2^53, where a
-    # float64 sum rounds; the bound len * (x // k0) <= 2^53 cuts the first
-    # blocks short, and with it the result matches the int64 blocks
+    # float64 sum rounds, and at x + 1 so do the first _HYPERBOLA_BLOCK =
+    # 2^16 (at x itself their float64 sum happens to be exact); the bound
+    # len * (x // k0) <= 2^53 cuts the first blocks short, and with it the
+    # result matches the int64 blocks
     x = 2**50 + 12345
     k = np.arange(1, 2**20 + 1)
     q = x // k
     assert int(q.sum()) > 2**53
     assert int(q.astype(np.float64).sum()) != int(q.sum())
     assert summatory_D(x) == hyperbola_int64(x)
+    q = (x + 1) // k[:_HYPERBOLA_BLOCK]
+    assert int(q.astype(np.float64).sum()) != int(q.sum())
+    assert summatory_D(x + 1) == hyperbola_int64(x + 1)
+
+
+def test_hyperbola_blocks_of_7_give_the_same_sum(monkeypatch):
+    # the block length only caps len, and the bounds that keep each block
+    # exact hold for any shorter block, so tiny blocks give the same D
+    # (float64 blocks only: at x >= 2^53 there would be 10^7 of them)
+    xs = [0, 1, 10, 48, 49, 50, 10**6 + 3, 10**8, 2**30 + 1]
+    want = [summatory_D(x) for x in xs]
+    monkeypatch.setattr(divcorr.divisor, "_HYPERBOLA_BLOCK", 7)
+    assert [summatory_D(x) for x in xs] == want
 
 
 def test_summatory_caps_raise_before_any_work(monkeypatch):
@@ -305,6 +363,28 @@ def mean_square_one_shot(X, table):
                                 cd[lo:lo + len(left)].astype(np.float64))
         chunk_sums.append(math.fsum(piece.tolist()))
     return math.fsum(chunk_sums)
+
+
+def mean_square_arrays(X, table):
+    """mean_square before it handed unit pieces over as an arange and a
+    float half: every Gauss block built left, right = min(left + 1, X) and
+    the piece arrays 0.5 * (left + right) and 0.5 * (right - left)."""
+    cd = table.cumulative()
+    end = math.ceil(X)
+
+    def pieces(lo, hi):
+        blocks = _gauss_blocks(hi - lo)
+        work = gauss8_workspace(blocks)
+        for s, e in blocks:
+            left = np.arange(lo + s, lo + e, dtype=np.float64)
+            right = np.minimum(left + 1, X)
+            yield gauss8_pieces(0.5 * (left + right), 0.5 * (right - left),
+                                cd[lo + s:lo + e].astype(np.float64),
+                                work=work)
+
+    return math.fsum(
+        exact_block_sum(partial(pieces, lo, min(lo + _CHUNK, end)))
+        for lo in range(1, end, _CHUNK))
 
 
 def test_gauss_blocks_merge_the_remainder_into_the_last_block():
@@ -380,6 +460,27 @@ def test_gauss8_workspace_leaves_the_bits(with_d2):
         fresh = gauss8_workspace([(0, n)])
         assert gauss8_pieces(*args, work=fresh).tobytes() == want
         assert gauss8_pieces(*args, work=reused).tobytes() == want
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4097])
+@pytest.mark.parametrize("with_d2", [False, True])
+@pytest.mark.parametrize("half", [0.5, 0.3])
+def test_gauss8_float_half_gives_the_bits_of_an_array(n, with_d2, half):
+    mid, _, d1, d2, theta = gauss8_inputs(n, with_d2)
+    want = gauss8_pieces(mid, np.full(n, half), d1, d2, theta)
+    assert gauss8_pieces(mid, half, d1, d2, theta).tobytes() == \
+        want.tobytes()
+
+
+# integer X (unit pieces only), a half piece at the end of a Gauss block,
+# of a chunk and of the first piece, and a quarter piece past a chunk
+@pytest.mark.parametrize("X", [
+    2, 3, 4097, 8193, 1e6, _CHUNK, 2 * _CHUNK + 1,
+    _GAUSS_BLOCK + 0.5, 2 * _GAUSS_BLOCK + 0.5, 3 * _GAUSS_BLOCK + 0.5,
+    _CHUNK + 0.5, _CHUNK + 0.25, 1.0 + 2**-40, 1.25, 1.5, 2 - 2**-40])
+def test_unit_pieces_give_the_bits_of_the_piece_arrays(X, big_table):
+    assert mean_square(X, big_table).hex() == \
+        mean_square_arrays(X, big_table).hex()
 
 
 # the kernel, mean_square and the sweep against their oracles in the same
@@ -605,7 +706,7 @@ def test_mean_square_hands_the_kernel_its_gauss_blocks(X, monkeypatch,
     calls = []
 
     def kernel(mid, half, d1, work=None):
-        calls.append((int(mid[0] - half[0]), len(mid)))
+        calls.append((int(mid[0] - np.ravel(half)[0]), len(mid)))
         return gauss8_pieces(mid, half, d1, work=work)
 
     monkeypatch.setattr(divcorr.divisor, "gauss8_pieces", kernel)
