@@ -230,6 +230,13 @@ def cmd_compare(args) -> tuple[int, list[str]]:
 # ---------------------------------------------------------------------------
 
 
+def _finite(text: str) -> float:
+    """An X argument: a float that is neither infinite nor NaN."""
+    if not math.isfinite(x := float(text)):
+        raise argparse.ArgumentTypeError(f"X must be finite, got {text}")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="divcorr",
@@ -245,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("delta", help="exact error term, optionally vs the "
                                      "truncated oscillating sum")
-    d.add_argument("--x", type=float, required=True)
+    d.add_argument("--x", type=_finite, required=True)
     d.add_argument("--voronoi-n", type=int, default=0)
     d.set_defaults(run=cmd_delta)
 
@@ -258,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("correlate", help="correlation integral over a grid")
     r.add_argument("--theta", type=str, required=True)
-    r.add_argument("--xmin", type=float, required=True)
-    r.add_argument("--xmax", type=float, required=True)
+    r.add_argument("--xmin", type=_finite, required=True)
+    r.add_argument("--xmax", type=_finite, required=True)
     r.add_argument("--points", type=int, required=True)
     r.add_argument("--fit", action="store_true")
     r.add_argument("--psi", type=str, default=None)
@@ -267,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("compare", help="exact integral vs spectral sum")
     m.add_argument("--theta", type=str, required=True)
-    m.add_argument("--x", type=float, required=True)
+    m.add_argument("--x", type=_finite, required=True)
     m.add_argument("--psi", type=str, default=None)
     m.add_argument("--n", type=int, default=None, help="override N")
     m.add_argument("--t", type=float, default=None, help="override T")

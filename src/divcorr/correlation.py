@@ -34,6 +34,8 @@ _MERGE_TOL = 1e-12
 #: O(_CHUNK) memory, so this caps run time, not memory (the tau table up to
 #: theta * X is the one array that grows with X)
 _MAX_PIECES = 60_000_000
+#: most grid points of one correlate_grid (Python objects and a row each)
+_MAX_POINTS = 100_000
 
 #: samples with |I| below this multiple of X^{3/2} are dropped from fits
 _FIT_FLOOR = 1e-9
@@ -94,21 +96,21 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
     D(x) and D(theta x) indices follow from its global index too.  Each
     chunk is integrated by gauss8_pieces one Gauss block at a time, with
     the bounds of _gauss_blocks (so each piece's bits are those of one call
-    over the chunk), into one array of piece integrals, and reduced to
-    exact_sum of its pieces and, for each grid X inside it, exact_sum of
-    its pieces before X (exact_prefix_sums: the exact sums of the segments
-    between grid points are added as integers, so no piece is read twice).
-    A correctly rounded sum is unique, so these are the floats math.fsum
-    returns; then the chunk is dropped.  I(X) is the fsum of the earlier
-    chunk sums plus that partial sum.  Memory is O(threads * _CHUNK)
-    besides the table: a chunk in flight holds its breakpoint window and
-    its piece integrals, two float64 arrays of about _CHUNK, plus one Gauss
-    block's arrays and the chunk's gauss8_workspace, four buffers of its
-    longest block, which is freed before the exact sums (tracemalloc's peak
-    for correlate_grid("surd:2", 1e4, 4e6, 4) on a prebuilt table and its
-    cumulative D: 5.4 MiB at one thread, 13.7 MiB at two).  The output
-    bits do not depend on `threads` (with more than one chunk,
-    _ordered_map runs the chunks on `threads` workers).
+    over the chunk), and each block's piece integrals stream straight into
+    exact_prefix_sums, which reads each piece once and gives the chunk's
+    sum and, for each grid X inside it, the sum of its pieces before X.  A
+    correctly rounded sum is unique, so these are the floats math.fsum
+    returns.  The grid X in a chunk and before a block are found by
+    bisecting grid_at, so a dense grid costs O(log P) per block.  I(X) is
+    the fsum of the earlier chunk sums plus that partial sum.  Memory is
+    O(threads * _CHUNK) besides the table: a chunk in flight holds its
+    breakpoint window, a float64 array of about _CHUNK, plus one Gauss
+    block's arrays, the chunk's gauss8_workspace (four buffers of its
+    longest block) and the exact sum's three buffers of 2^16 values
+    (tracemalloc's peak for correlate_grid("surd:2", 1e4, 4e6, 4) on a
+    prebuilt table and its cumulative D: 5.2 MiB at one thread, 12.7 MiB
+    at two).  The output bits do not depend on `threads` (with more than
+    one chunk, _ordered_map runs the chunks on `threads` workers).
     """
     th = float(theta)
     if th <= 0:
@@ -169,14 +171,11 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
         i = start - below(a)
         return vals[i:i + _CHUNK + 1]
 
-    def integrate(start, vals):
-        n = len(vals) - 1
-        offs = [i - start for i in grid_at if start < i < start + _CHUNK]
-        # one Gauss block at a time, with _gauss_blocks' bounds, so each
-        # block's call runs the gemv on the rows at the offsets that a call
-        # over the whole chunk would
-        piece = np.empty(n)
-        blocks = _gauss_blocks(n)
+    def pieces(start, vals, offs):
+        # the chunk's piece integrals one Gauss block at a time, with
+        # _gauss_blocks' bounds, so each block's call runs the gemv on the
+        # rows at the offsets that a call over the whole chunk would
+        blocks = _gauss_blocks(len(vals) - 1)
         work = gauss8_workspace(blocks)
         for s, e in blocks:
             left, right = vals[s:e], vals[s + 1:e + 1]
@@ -191,18 +190,22 @@ def _sweep(theta: Theta, xs: list[float], table: DivisorTable | None,
             # the grid X at or before global index start + j, and the
             # n / th from floor(th) + 1 on.  A dead piece's index may be -1,
             # a valid read: the piece is zeroed below.
-            k = n_lo + start + s - sum(i <= start + s for i in grid_at)
+            k = n_lo + start + s - bisect.bisect_right(grid_at, start + s)
             np.subtract(np.arange(k, k + e - s), idx, out=idx)
-            for off in offs:
-                if s < off < e:
-                    idx[off - s:] -= 1
-            out = piece[s:e]
-            out[...] = gauss8_pieces(0.5 * (left + right), 0.5 * width, d1,
-                                     cd[idx].astype(np.float64), th,
-                                     work=work)
+            for off in offs[bisect.bisect_right(offs, s):
+                            bisect.bisect_left(offs, e)]:
+                idx[off - s:] -= 1
+            out = gauss8_pieces(0.5 * (left + right), 0.5 * width, d1,
+                                cd[idx].astype(np.float64), th, work=work)
             out[~(width > _MERGE_TOL)] = 0.0
-        del work  # before the exact sums' own temporaries
-        sums = exact_prefix_sums(piece, offs + [n])
+            yield out
+
+    def integrate(start, vals):
+        offs = [i - start for i in grid_at[
+            bisect.bisect_right(grid_at, start):
+            bisect.bisect_left(grid_at, start + _CHUNK)]]
+        sums = exact_prefix_sums(lambda: pieces(start, vals, offs),
+                                 offs + [len(vals) - 1])
         return sums[-1], {start + off: p for off, p in zip(offs, sums)}
 
     # the values are built as the pool draws each chunk, so chunk c + 1's
@@ -246,6 +249,10 @@ def correlate_grid(theta, xmin: float, xmax: float, points: int,
         raise ValueError("need 1 <= xmin < xmax")
     if points < 2:
         raise ValueError("points must be >= 2")
+    if points > _MAX_POINTS:
+        raise ResourceLimit(f"{points} grid points exceed the budget; cap "
+                            f"them at {_MAX_POINTS}",
+                            suggested_cap=_MAX_POINTS)
     xs = np.geomspace(xmin, xmax, points).tolist()
     return _sweep(theta, xs, table, threads)
 

@@ -11,12 +11,11 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .errors import ResourceLimit
-from .exactsum import exact_block_sum
+from .exactsum import exact_prefix_sums
 from .realfield import gamma_const
 
 #: 2*gamma - 1, the linear coefficient of the smooth main term.
@@ -308,14 +307,15 @@ def mean_square(X: float, table: DivisorTable | None = None) -> float:
     there), so each unit piece [n, n + 1] is integrated by 8-point Gauss
     quadrature, which is far beyond 1e-9 accurate for this integrand class.
     The pieces stream one Gauss block (_gauss_blocks) of each _CHUNK at a
-    time into the chunk's exact sum; the chunk sums are added by fsum.  A
-    block of whole unit pieces is handed to the kernel as
-    mid = np.arange(n + 0.5, ...) and the float half = 0.5, the bits that
-    0.5 * (left + right) and 0.5 * (right - left) give for them, with five
-    fewer array passes and the kernel's one-pass nodes: mean_square(1e6) on
-    a built table took 52-55 ms (median of 25) when every block built left,
-    right, mid and half, and takes 47-51 ms.  Only the block that ends in
-    the partial piece [floor X, X] takes one half-width per piece.
+    time into the chunk's exact sum (exact_prefix_sums with one stop, at
+    the chunk's end); the chunk sums are added by fsum.  A block of whole
+    unit pieces is handed to the kernel as mid = np.arange(n + 0.5, ...)
+    and the float half = 0.5, the bits that 0.5 * (left + right) and
+    0.5 * (right - left) give for them, with five fewer array passes and
+    the kernel's one-pass nodes: mean_square(1e6) on a built table took
+    52-55 ms (median of 25) when every block built left, right, mid and
+    half, and takes 47-51 ms.  Only the block that ends in the partial
+    piece [floor X, X] takes one half-width per piece.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
@@ -329,8 +329,8 @@ def mean_square(X: float, table: DivisorTable | None = None) -> float:
     # integrated one Gauss block at a time and rounded to one exact sum
     end = math.ceil(X)
 
-    def pieces(lo, hi):
-        blocks = _gauss_blocks(hi - lo)
+    def pieces(lo):
+        blocks = _gauss_blocks(min(_CHUNK, end - lo))
         work = gauss8_workspace(blocks)
         for s, e in blocks:
             mid, half = np.arange(lo + s + 0.5, lo + e), 0.5
@@ -345,7 +345,7 @@ def mean_square(X: float, table: DivisorTable | None = None) -> float:
                                 work=work)
 
     return math.fsum(
-        exact_block_sum(partial(pieces, lo, min(lo + _CHUNK, end)))
+        exact_prefix_sums(lambda: pieces(lo), [min(_CHUNK, end - lo)])[0]
         for lo in range(1, end, _CHUNK))
 
 
@@ -371,7 +371,7 @@ def tong_ratio_oracle(limit: int = 2_000_000,
             np.square(table.counts[s:s + k], out=t[:k], dtype=np.float64)
             yield np.divide(t[:k], n[:k], out=t[:k])
 
-    partial = exact_block_sum(terms)
+    partial = exact_prefix_sums(terms, [limit])[0]
 
     # tail of integral_N^inf t^{-3/2} log^k t dt by the exact recurrence
     # I_k = 2 N^{-1/2} log^k N + 2k I_{k-1}

@@ -86,6 +86,22 @@ def sweep():
     return [megabytes(runs, 140), rows_equal(runs)]
 
 
+def dense_grid():
+    # The sweep finds the grid X in a chunk and before each Gauss block by
+    # bisection, so 20000 grid points cost little more than 4: the dense
+    # child took 1.1-1.6x the sparse one's wall time, and 3.2-4.1x when
+    # every Gauss block scanned the whole grid.  A ratio of two children, so
+    # that each host's speed cancels out.
+    args = ["correlate", "--theta", "surd:2", "--xmin", "1e4", "--xmax",
+            "4e6", "--points"]
+    sparse, dense = (run(CLI + ["--threads", "1", *args, p])
+                     for p in ("4", "20000"))
+    dense2 = run(CLI + ["--threads", "2", *args, "20000"])
+    return [at_most([dense[1] / sparse[1]], 2, "x the sparse wall time"),
+            rows_equal([dense, dense2]),
+            megabytes([sparse, dense, dense2], 140)]
+
+
 def tong():
     # tong_ratio_oracle and mean_square stream their 2e6 and 1e6 terms
     # through one exact sum, 2^16 terms or 2^16 pieces (16 Gauss blocks,
@@ -235,7 +251,7 @@ def jarnik_depth():
     return [seconds([run(jarnik, 300)], 30)]
 
 
-GATES = [sweep, tong, compare, compare_fail_fast, delta_scratch, legendre,
+GATES = [sweep, dense_grid, tong, compare, compare_fail_fast, delta_scratch, legendre,
          deep_tau_beta, scan_exp_1_1, scan_2_28, jarnik_depth]
 
 

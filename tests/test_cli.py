@@ -299,6 +299,24 @@ def test_global_flag_errors_exit_2_before_any_output(capsys, argv, msg):
     assert msg in out.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("delta", "--x", "inf"),
+    ("compare", "--theta", "surd:2", "--x", "inf"),
+    ("correlate", "--theta", "surd:2", "--xmin", "10", "--xmax", "inf",
+     "--points", "3"),
+    ("correlate", "--theta", "surd:2", "--xmin", "nan", "--xmax", "100",
+     "--points", "3"),
+], ids=["delta", "compare", "correlate-xmax", "correlate-xmin"])
+def test_non_finite_x_exits_2_before_any_output(capsys, argv):
+    # X parses as a finite float, so inf and nan are usage errors rather
+    # than an OverflowError (exit 1) or a sweep past its budget (exit 3)
+    with pytest.raises(SystemExit) as ei:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert (ei.value.code, out.out) == (2, "")
+    assert "X must be finite" in out.err
+
+
 def test_cf_with_no_certified_quotient_prints_only_the_note(capsys):
     # dec:1 is trusted only to +-1: not even a0 is certified
     code, out, _ = run(capsys, "cf", "--theta", "dec:1")
@@ -325,7 +343,9 @@ def test_verify_unknown_suite(capsys):
      "--points", "3"),
     ("compare", "--theta", "surd:2", "--x", "2e6"),
     ("delta", "--x", "100", "--voronoi-n", "300000000"),
-], ids=["correlate", "compare", "delta"])
+    ("correlate", "--theta", "surd:2", "--xmin", "1e3", "--xmax", "1e4",
+     "--points", "100001"),
+], ids=["correlate", "compare", "delta", "correlate-points"])
 def test_resource_cap_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")

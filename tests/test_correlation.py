@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from divcorr import correlation, divisor
+from divcorr import correlation, divisor, exactsum
 from divcorr.correlation import (compare_spectral, correlate_exact,
                                  correlate_grid, fit_exponent,
                                  normalized_ratio, result_csv_row,
@@ -82,6 +83,16 @@ def test_resource_cap():
     with pytest.raises(ResourceLimit) as ei:
         correlate_exact("rat:2/1", 5e8)
     assert ei.value.suggested_cap is not None
+
+
+def test_grid_point_cap_raises_before_any_work(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the grid was built past the point budget")
+
+    monkeypatch.setattr(np, "geomspace", no_grid)
+    with pytest.raises(ResourceLimit) as ei:
+        correlate_grid("surd:2", 1e3, 1e4, correlation._MAX_POINTS + 1)
+    assert ei.value.suggested_cap == correlation._MAX_POINTS
 
 
 def test_grid_prefix_additivity(table_2e4):
@@ -395,6 +406,8 @@ def test_streaming_sweep_matches_materialised(spec, chunk, monkeypatch,
     # 100 grid points inside (7, 8): whole chunks of 64 pieces fall inside
     # one integer window [a, b)
     [7.005 + 0.0099 * k for k in range(100)] + [1000.0],
+    # a dense grid: several grid X in most chunks of 64 pieces
+    np.geomspace(1.5, 1000.0, 500).tolist(),
 ])
 @pytest.mark.parametrize("spec", SWEEP_THETAS + ["rat:1/5"])
 def test_d_index_counts_the_integer_breakpoints(spec, xs, monkeypatch):
@@ -402,20 +415,34 @@ def test_d_index_counts_the_integer_breakpoints(spec, xs, monkeypatch):
     # works out from global piece indices, against the running counts of
     # the breakpoint kinds and searchsorted.  With tau = 1 the table's D(n)
     # is n, so the kernel receives the indices themselves.  Small chunks,
-    # so that start > 0 and grid X fall inside chunks
+    # so that start > 0 and grid X fall inside chunks.  The kernel returns
+    # ones, but a prefix of dead pieces (zeroed by the sweep) still sums to
+    # exactly zero, and then the exact sum runs the chunk's blocks a second
+    # time, for fsum: only the first run's calls are kept
     theta = theta_parse(spec)
     th = float(theta)
     monkeypatch.setattr(correlation, "_CHUNK", 64)
     limit = max(math.floor(xs[-1]), math.floor(th * xs[-1])) + 2
     table = DivisorTable(limit, np.r_[0, np.ones(limit, dtype=np.int64)])
-    seen = []
+    runs = []  # (whether a chunk ran before, the kernel calls of this run)
 
     def kernel(mid, half, d1, d2, theta, work=None):
-        seen.append((d1, d2))
-        return np.zeros(len(mid))
+        runs[-1][1].append((d1, d2))
+        return np.ones(len(mid))
+
+    def sums(blocks, stops):
+        count = itertools.count()
+
+        def run():
+            runs.append((next(count) > 0, []))
+            return blocks()
+
+        return exact_prefix_sums(run, stops)
 
     monkeypatch.setattr(correlation, "gauss8_pieces", kernel)
+    monkeypatch.setattr(correlation, "exact_prefix_sums", sums)
     got = correlation._sweep(theta, xs, table)
+    seen = [c for again, calls in runs if not again for c in calls]
     vals, d1_idx, d2_idx = materialised_indices(th, xs)
     live = np.diff(vals) > correlation._MERGE_TOL
     d1, d2 = (np.concatenate(d) for d in zip(*seen))
@@ -454,6 +481,25 @@ def test_sweep_drops_breakpoint_one_ulp_past_the_cap(spec, X, n, chunk,
     got = correlation._sweep(theta, xs, big_table)
     assert [(r.X, r.I, r.breakpoints_used) for r in got] == want
     assert sum(pieces) == len(vals) - 1
+
+
+@pytest.mark.parametrize("chunk", [64, correlation._CHUNK])
+def test_sweep_of_a_zero_kernel_is_zero(chunk, monkeypatch, table_2e4):
+    # every chunk sums to exactly zero, so each of its sums is fsum's,
+    # from one more run of its Gauss blocks
+    calls = []
+
+    def kernel(mid, *args, **kwargs):
+        calls.append(len(mid))
+        return np.zeros(len(mid))
+
+    monkeypatch.setattr(correlation, "gauss8_pieces", kernel)
+    monkeypatch.setattr(correlation, "_CHUNK", chunk)
+    got = correlate_grid("surd:2", 10.0, 5000.0, 40, table_2e4)
+    assert [r.I.hex() for r in got] == [(0.0).hex()] * 40
+    vals, _ = materialised_breakpoints(float(theta_parse("surd:2")),
+                                       [r.X for r in got])
+    assert sum(calls) == 2 * (len(vals) - 1)
 
 
 def grid_at_indices(th: float, n_pieces: int, targets: list[int]):
@@ -505,7 +551,7 @@ def chunk_wide_sweep(th: float, xs: list[float], table):
         piece = gauss8_pieces(0.5 * (left + right), 0.5 * width, d1,
                               cd[idx].astype(np.float64), th)
         piece[~(width > correlation._MERGE_TOL)] = 0.0
-        sums = exact_prefix_sums(piece, offs + [len(piece)])
+        sums = exact_prefix_sums(lambda: [piece], offs + [len(piece)])
         return sums[-1], {start + off: p for off, p in zip(offs, sums)}
 
     done = [integrate(s, vals[s:s + chunk + 1])
@@ -609,12 +655,14 @@ def test_sweep_memory_does_not_grow_with_X(big_table):
     assert peaks[1] <= 1.25 * peaks[0]
 
 
-def test_sweep_memory_is_two_chunk_arrays_and_the_gauss_buffers(big_table):
-    # one chunk (about 241k pieces at X = 1e5) holds its breakpoint window
-    # and its piece integrals, float64 arrays of at most _CHUNK + 1, and
-    # integrates one Gauss block at a time: gauss8_pieces' five buffers of
-    # fewer than 8 x 8192 doubles, plus the block's own short arrays (17.2
-    # MB traced while the whole chunk went through one call)
+def test_sweep_memory_is_one_chunk_array_and_the_block_buffers(big_table):
+    # one chunk (about 241k pieces at X = 1e5) holds its breakpoint window,
+    # a float64 array of at most _CHUNK + 1, and integrates one Gauss block
+    # at a time: gauss8_pieces' five buffers of fewer than 8 x 8192
+    # doubles, plus the block's own short arrays, whose piece integrals go
+    # straight into the exact sum's three buffers of _BLOCK values (17.2
+    # MB traced while the whole chunk went through one call, 6.06 MiB with
+    # a chunk array of piece integrals, 5.75 MiB streamed)
     big_table.cumulative()
     tracemalloc.start()
     try:
@@ -624,4 +672,5 @@ def test_sweep_memory_is_two_chunk_arrays_and_the_gauss_buffers(big_table):
         tracemalloc.stop()
     chunk_array = 8 * (correlation._CHUNK + 1)
     gauss_buf = 8 * 8 * (2 * divisor._GAUSS_BLOCK - 1)
-    assert peak <= 2 * chunk_array + 5 * gauss_buf + 2**19
+    sum_buf = 8 * exactsum._BLOCK
+    assert peak <= chunk_array + 5 * gauss_buf + 3 * sum_buf + 2**19

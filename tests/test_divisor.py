@@ -22,7 +22,7 @@ from divcorr.divisor import (_CHUNK, _GAUSS_BLOCK, _HYPERBOLA_BLOCK,
                              gauss8_workspace, mean_square, sieve_tau,
                              summatory_D, tong_ratio_oracle)
 from divcorr.errors import ResourceLimit
-from divcorr.exactsum import exact_block_sum
+from divcorr.exactsum import exact_prefix_sums
 
 
 def tau_brute(n: int) -> int:
@@ -383,7 +383,8 @@ def mean_square_arrays(X, table):
                                 work=work)
 
     return math.fsum(
-        exact_block_sum(partial(pieces, lo, min(lo + _CHUNK, end)))
+        exact_prefix_sums(partial(pieces, lo, min(lo + _CHUNK, end)),
+                          [min(_CHUNK, end - lo)])[0]
         for lo in range(1, end, _CHUNK))
 
 

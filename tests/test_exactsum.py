@@ -1,14 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divcorr import exactsum
 from divcorr.divisor import (gauss8_pieces, mean_square, sieve_tau,
                              tong_ratio_oracle)
-from divcorr.exactsum import (_BLOCK, _scaled_sum, exact_block_sum,
-                               exact_prefix_sums, exact_sum)
+from divcorr.exactsum import (_BLOCK, _scaled_sum, exact_prefix_sums,
+                              exact_sum)
 from divcorr.voronoi import _4PI, _SQRT2_PI, q_n
 
 
@@ -114,7 +116,7 @@ def test_lengths_around_the_block(n):
 @given(st.lists(_WIDE | _SUBNORMAL, max_size=40), st.data())
 def test_prefix_sums_match_fsum_of_prefixes(xs, data):
     stops = sorted(data.draw(st.lists(st.integers(0, len(xs)), max_size=5)))
-    got = exact_prefix_sums(np.array(xs, dtype=np.float64), stops)
+    got = exact_prefix_sums(lambda: [np.array(xs, dtype=np.float64)], stops)
     assert [p.hex() for p in got] == [math.fsum(xs[:s]).hex() for s in stops]
 
 
@@ -122,20 +124,21 @@ def test_prefix_sums_across_blocks():
     rng = np.random.default_rng(7)
     a = rng.standard_normal(_BLOCK + 5) * 1e3
     stops = [0, 3, 3, _BLOCK - 1, _BLOCK + 2, _BLOCK + 5]
-    assert exact_prefix_sums(a, stops) == [math.fsum(a[:s].tolist())
-                                           for s in stops]
+    assert exact_prefix_sums(lambda: [a], stops) == [
+        math.fsum(a[:s].tolist()) for s in stops]
 
 
 def test_prefix_sums_fall_back_from_a_non_finite_segment():
     a = np.array([1.0, 2.0, math.inf, 4.0])
-    got = exact_prefix_sums(a, [1, 2, 3, 4])
+    got = exact_prefix_sums(lambda: [a], [1, 2, 3, 4])
     assert got == [1.0, 3.0, math.inf, math.inf]
 
 
 def assert_block_sum_is_fsum(blocks):
-    """exact_block_sum over `blocks` equals math.fsum over their
-    concatenation, and reads the blocks a second time only where fsum has
-    to decide: a non-finite or huge value, or an exactly zero total."""
+    """exact_prefix_sums over `blocks`, with one stop after the last
+    value, equals math.fsum over their concatenation, and reads the blocks
+    a second time only where fsum has to decide: a non-finite or huge
+    value, or an exactly zero total."""
     calls = []
 
     def gen():
@@ -143,8 +146,8 @@ def assert_block_sum_is_fsum(blocks):
         return (np.array(b, dtype=np.float64) for b in blocks)
 
     flat = [float(x) for b in blocks for x in b]
-    assert outcome(lambda _: exact_block_sum(gen), None) == \
-        outcome(math.fsum, flat)
+    assert outcome(lambda _: exact_prefix_sums(gen, [len(flat)])[0],
+                   None) == outcome(math.fsum, flat)
     plain = all(math.isfinite(x) and abs(x) < 2.0**1000 for x in flat)
     assert len(calls) == (1 if plain and math.fsum(flat) else 2)
 
@@ -183,7 +186,8 @@ def test_block_sum_across_exact_sum_blocks():
                                                                _BLOCK + 3))
     blocks = [a, -a[::-1][:_BLOCK], -a[::-1][_BLOCK:], np.array([2.0**-1074])]
     flat = np.concatenate(blocks).tolist()
-    assert exact_block_sum(lambda: blocks).hex() == math.fsum(flat).hex()
+    assert exact_prefix_sums(lambda: blocks, [len(flat)])[0].hex() == \
+        math.fsum(flat).hex()
 
 
 def test_block_sum_groups_short_blocks_of_a_reused_buffer():
@@ -204,9 +208,123 @@ def test_block_sum_groups_short_blocks_of_a_reused_buffer():
             yield buf[:e - s]
             buf[:] = math.nan
 
-    assert exact_block_sum(blocks).hex() == math.fsum(a.tolist()).hex()
+    assert exact_prefix_sums(blocks, [len(a)])[0].hex() == \
+        math.fsum(a.tolist()).hex()
     a[-4] = math.inf
-    assert exact_block_sum(blocks) == math.inf
+    assert exact_prefix_sums(blocks, [len(a)]) == [math.inf]
+
+
+def assert_prefixes_are_fsum(blocks, stops):
+    """exact_prefix_sums over `blocks` gives math.fsum of each prefix (or
+    the exception fsum raises), and calls `blocks` once more, after the
+    first pass has ended, only where a prefix falls back: it holds a
+    non-finite or huge value, or sums to exactly zero."""
+    calls, live = [], []
+
+    def values():
+        live.append(1)
+        try:
+            for b in blocks:
+                yield np.array(b, dtype=np.float64)
+        finally:
+            live.clear()
+
+    def gen():
+        assert not live, "a second pass began while the first was suspended"
+        calls.append(1)
+        return values()
+
+    def hexes(fn):
+        try:
+            return [v.hex() for v in fn()]
+        except (OverflowError, ValueError) as exc:
+            return type(exc)
+
+    flat = [float(x) for b in blocks for x in b]
+    assert hexes(lambda: exact_prefix_sums(gen, stops)) == \
+        hexes(lambda: [math.fsum(flat[:s]) for s in stops])
+    plain = all(all(math.isfinite(x) and abs(x) < 2.0**1000
+                    for x in flat[:s]) and math.fsum(flat[:s])
+                for s in stops)
+    assert len(calls) == (1 if plain else 2)
+
+
+@pytest.mark.parametrize("values", [_WIDE | _SUBNORMAL, _ANY],
+                         ids=["finite", "any"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), group=st.sampled_from([1, 2, 3, 5, _BLOCK]))
+def test_prefix_sums_of_block_partitions(values, data, group):
+    # groups of `group` values: with a small one they fill up inside,
+    # across and at the edges of the blocks as well as at the stops
+    blocks = data.draw(st.lists(st.lists(values, max_size=8), max_size=6))
+    stops = sorted(data.draw(st.lists(
+        st.integers(0, sum(map(len, blocks))), max_size=6)))
+    with mock.patch.object(exactsum, "_BLOCK", group):
+        assert_prefixes_are_fsum(blocks, stops)
+
+
+@pytest.mark.parametrize("blocks, stops", [
+    ([[1.0, 2.0], [3.0]], [1, 3]),
+    ([[1.0, 2.0], [3.0]], [0, 0, 1, 3, 3]),         # a zero stop: fsum's
+    ([[1.0, -1.0], [3.0]], [1, 2, 3]),               # a zero prefix
+    ([[1.0, 2.0], [math.inf]], [2, 2]),              # inf past the stops
+    ([[1.0, math.nan], [3.0]], [1, 2, 3]),           # NaN in the second
+    ([[2.0**1000], [1.0]], [1]),
+    ([[], [1.0], []], [1]),
+    ([], [0]),
+    ([[1.0]], []),
+])
+def test_prefix_sums_call_blocks_again_only_to_fall_back(blocks, stops):
+    assert_prefixes_are_fsum(blocks, stops)
+
+
+def test_prefix_sums_reject_a_stop_past_the_values():
+    with pytest.raises(ValueError, match="past the 3 values"):
+        exact_prefix_sums(lambda: [np.ones(2), np.ones(1)], [2, 4])
+
+
+#: 4096-value blocks (the sweep's Gauss blocks) and longer ones
+_SIZES = [4096] * 33 + [5, _BLOCK + 3, 7, 4096]
+
+
+def test_prefix_sums_at_block_and_group_edges():
+    # stops inside blocks, on block edges and on _BLOCK edges, repeated,
+    # and at 0; the values cancel to a tiny remainder at every fourth
+    # block edge, so that a value counted twice or dropped shows
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal(sum(_SIZES)) * np.exp2(
+        rng.integers(-50, 50, sum(_SIZES)))
+    edges = np.cumsum(_SIZES).tolist()
+    for e in edges[3::4]:
+        a[e - 1] = -math.fsum(a[:e - 1].tolist())
+    stops = sorted([0, 0, 1, 4095, 4096, 4097, 3 * 4096 + 17, _BLOCK - 1,
+                    _BLOCK, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1,
+                    edges[32], edges[33] - 1, edges[33], edges[34] - 2,
+                    edges[35], edges[35] + 1, *edges[3::4], len(a),
+                    len(a)])
+    got = exact_prefix_sums(lambda: np.split(a, edges[:-1]), stops)
+    assert [g.hex() for g in got] == [math.fsum(a[:s].tolist()).hex()
+                                      for s in stops]
+
+
+def test_prefix_sums_over_views_of_a_reused_buffer():
+    # each block is a view of one buffer that the generator overwrites
+    # with NaN once the next block is asked for
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal(sum(_SIZES)) * 1e3
+    edges = np.cumsum([0] + _SIZES).tolist()
+
+    def blocks():
+        buf = np.empty(max(_SIZES))
+        for s, e in zip(edges, edges[1:]):
+            buf[:e - s] = a[s:e]
+            yield buf[:e - s]
+            buf[:] = math.nan
+
+    stops = [0, 4000, 4096, 20_000, _BLOCK, edges[34] + 1, edges[35] - 1,
+             len(a)]
+    assert exact_prefix_sums(blocks, stops) == [math.fsum(a[:s].tolist())
+                                                for s in stops]
 
 
 # --- edge cases of the extraction, on whole blocks ---------------------------
@@ -218,9 +336,19 @@ def units(xs):
                for p, d in map(float.as_integer_ratio, xs))
 
 
+def scaled_sum(a):
+    """The exact sum of `a` times 2^1074 from _scaled_sum on each _BLOCK
+    values, or None where one of them is non-finite or huge."""
+    q, r = np.empty(_BLOCK), np.empty(_BLOCK)
+    parts = [_scaled_sum(a[s:s + _BLOCK], q, r)
+             for s in range(0, len(a), _BLOCK)]
+    return None if None in parts else sum(parts)
+
+
 def assert_extracts_exactly(a):
-    """_scaled_sum(a) is the exact sum, and exact_sum rounds it as fsum."""
-    assert _scaled_sum(a) == units(a.tolist())
+    """_scaled_sum is the exact sum of `a`, and exact_sum rounds it as
+    fsum."""
+    assert scaled_sum(a) == units(a.tolist())
     assert exact_sum(a).hex() == math.fsum(a.tolist()).hex()
 
 
@@ -263,12 +391,12 @@ def test_subnormal_blocks_take_the_clamp():
 @pytest.mark.parametrize("n", [1, _BLOCK, 2 * _BLOCK + 1])
 def test_zero_blocks_keep_fsum_sign(n):
     pos, neg = np.zeros(n), np.full(n, -0.0)
-    assert _scaled_sum(pos) == _scaled_sum(neg) == 0
+    assert scaled_sum(pos) == scaled_sum(neg) == 0
     for a in (pos, neg, np.concatenate((neg, pos)),
               np.concatenate((neg, [2.0**-1074, -2.0**-1074]))):
         assert_same_as_fsum(a)
-        assert exact_block_sum(lambda: [a[:_BLOCK], a[_BLOCK:]]).hex() == \
-            math.fsum(a.tolist()).hex()
+        got = exact_prefix_sums(lambda: [a[:_BLOCK], a[_BLOCK:]], [len(a)])
+        assert got[0].hex() == math.fsum(a.tolist()).hex()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**1000])
@@ -276,10 +404,11 @@ def test_non_finite_in_the_middle_of_a_second_block(bad):
     rng = np.random.default_rng(9)
     a = rng.standard_normal(2 * _BLOCK)
     a[_BLOCK + _BLOCK // 2] = bad
-    assert _scaled_sum(a) is None
+    assert scaled_sum(a) is None
     assert_same_as_fsum(a)
     assert_block_sum_is_fsum([a[:_BLOCK], a[_BLOCK:]])
-    got = exact_prefix_sums(a, [_BLOCK, _BLOCK + _BLOCK // 2, 2 * _BLOCK])
+    got = exact_prefix_sums(lambda: [a],
+                            [_BLOCK, _BLOCK + _BLOCK // 2, 2 * _BLOCK])
     assert [g.hex() for g in got] == [
         math.fsum(a[:s].tolist()).hex()
         for s in (_BLOCK, _BLOCK + _BLOCK // 2, 2 * _BLOCK)]
